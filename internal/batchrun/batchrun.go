@@ -129,8 +129,9 @@ func (b *Batch) setActive(i int, on bool) {
 	}
 }
 
-// Run executes runs runs across the batch's lanes. For each run it
-// picks an idle lane, calls arm(lane, run) to re-arm the lane's
+// Run executes runs 0..runs-1 across the batch's lanes, in index order:
+// with at least as many runs as lanes, lane i starts with run i. For
+// each run it picks an idle lane, calls arm(lane, run) to re-arm the lane's
 // dynamic state (Reset + Rearm, or a first-run Attach), then advances
 // all armed lanes in lockstep, one cycle per lane per turn. When a
 // lane's run finishes — for any reason the serial stepper would have
@@ -146,6 +147,24 @@ func (b *Batch) setActive(i int, on bool) {
 // callbacks observe per-run results identical to serial execution, in
 // retirement order.
 func (b *Batch) Run(ctx context.Context, runs int, arm func(l *Lane, run int) error, done func(l *Lane, run int, res fabric.Result, err error) error) error {
+	next := 0
+	return b.RunFrom(ctx, func() (int, bool) {
+		if next >= runs {
+			return 0, false
+		}
+		next++
+		return next - 1, true
+	}, arm, done)
+}
+
+// RunFrom is Run with the run indices drawn from next instead of a
+// private counter: every time a lane is free, the batch calls next and
+// arms the lane with the run it returns, until next reports false. It
+// lets several batches split one campaign — each on its own goroutine,
+// drawing from a shared atomic counter (see internal/core) — while the
+// batch itself stays single-goroutine. next is only called from the
+// goroutine running RunFrom.
+func (b *Batch) RunFrom(ctx context.Context, next func() (int, bool), arm func(l *Lane, run int) error, done func(l *Lane, run int, res fabric.Result, err error) error) error {
 	for _, l := range b.lanes {
 		l.run = -1
 		l.stepper = nil
@@ -154,22 +173,20 @@ func (b *Batch) Run(ctx context.Context, runs int, arm func(l *Lane, run int) er
 	for i := range b.mask {
 		b.mask[i] = 0
 	}
-	next := 0
 	refill := func(l *Lane) error {
-		for next < runs {
-			r := next
-			next++
-			if err := arm(l, r); err != nil {
-				return fmt.Errorf("batchrun: arm lane %d run %d: %w", l.ID, r, err)
-			}
-			st, err := l.Fabric.BeginRun(ctx, b.cfg.MaxCycles)
-			if err != nil {
-				return fmt.Errorf("batchrun: begin lane %d run %d: %w", l.ID, r, err)
-			}
-			l.stepper, l.run, l.steps = st, r, 0
-			b.setActive(l.ID, true)
+		r, ok := next()
+		if !ok {
 			return nil
 		}
+		if err := arm(l, r); err != nil {
+			return fmt.Errorf("batchrun: arm lane %d run %d: %w", l.ID, r, err)
+		}
+		st, err := l.Fabric.BeginRun(ctx, b.cfg.MaxCycles)
+		if err != nil {
+			return fmt.Errorf("batchrun: begin lane %d run %d: %w", l.ID, r, err)
+		}
+		l.stepper, l.run, l.steps = st, r, 0
+		b.setActive(l.ID, true)
 		return nil
 	}
 	retire := func(l *Lane) error {

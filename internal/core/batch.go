@@ -8,7 +8,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"tia/internal/batchrun"
 	"tia/internal/channel"
@@ -33,13 +37,67 @@ type campaignLane struct {
 // event stepper advanced in lockstep, and classification goes through
 // the same classifyRun. Fresh golden tokens and the anchored plan are
 // the caller's, exactly as in the serial runners.
+//
+// The lanes are split into min(GOMAXPROCS, lanes) groups, each its own
+// batchrun.Batch built and stepped on its own goroutine (the caller's
+// goroutine runs group 0). All groups draw run indices from one shared
+// atomic counter, so a group stuck on a hung run never strands the
+// others' cores, and each group writes recs[run] — results are
+// collected by run index, which makes them independent of which group
+// ran what. The first error cancels the sibling groups.
 func runCampaignBatch(ctx context.Context, spec *workloads.Spec, p workloads.Params, plan faults.Plan, runs, lanes int, budget int64, golden []channel.Token) ([]FaultRun, error) {
 	if lanes > runs {
 		lanes = runs
 	}
+	groups := min(runtime.GOMAXPROCS(0), lanes)
+	gctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	recs := make([]FaultRun, runs)
+	var next atomic.Int64
+	claim := func() (int, bool) {
+		r := int(next.Add(1) - 1)
+		return r, r < runs
+	}
+	errs := make([]error, groups)
+	runGroup := func(g int) {
+		// Group g owns lanes [first, first+n): the lanes are dealt as
+		// evenly as the group count allows.
+		first, n := g*lanes/groups, (g+1)*lanes/groups-g*lanes/groups
+		if err := runLaneGroup(gctx, spec, p, plan, first, n, budget, golden, claim, recs); err != nil {
+			errs[g] = err
+			cancel()
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 1; g < groups; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runGroup(g)
+		}()
+	}
+	runGroup(0)
+	wg.Wait()
+	// A group that failed cancels its siblings, which then report a
+	// cancellation of their own; that is an echo, not a cause. Report
+	// the first cause in group order, or, when the caller's context
+	// ended the campaign, the first group's cancellation error.
+	for _, err := range errs {
+		if err != nil && (ctx.Err() != nil || !errors.Is(err, fabric.ErrCancelled)) {
+			return nil, err
+		}
+	}
+	return recs, nil
+}
+
+// runLaneGroup builds a batch of n lanes (campaign lanes first ..
+// first+n-1) and steps it on the calling goroutine, arming each free
+// lane with the next run claim hands out and storing that run's record
+// in recs[run].
+func runLaneGroup(ctx context.Context, spec *workloads.Spec, p workloads.Params, plan faults.Plan, first, n int, budget int64, golden []channel.Token, claim func() (int, bool), recs []FaultRun) error {
 	b, err := batchrun.New(
 		batchrun.Config{
-			Lanes:     lanes,
+			Lanes:     n,
 			MaxCycles: budget,
 			// Eviction is scheduling only: a lane that outlives a quarter
 			// of the budget is almost certainly a hung run; finishing it
@@ -50,14 +108,13 @@ func runCampaignBatch(ctx context.Context, spec *workloads.Spec, p workloads.Par
 		func(lane int) (*fabric.Fabric, any, error) {
 			inst, err := spec.BuildTIA(p)
 			if err != nil {
-				return nil, nil, fmt.Errorf("%s: build lane %d: %w", spec.Name, lane, err)
+				return nil, nil, fmt.Errorf("%s: build lane %d: %w", spec.Name, first+lane, err)
 			}
 			return inst.Fabric, &campaignLane{inst: inst}, nil
 		})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	recs := make([]FaultRun, runs)
 	base := plan.Seed
 	arm := func(l *batchrun.Lane, run int) error {
 		cl := l.Payload.(*campaignLane)
@@ -83,10 +140,7 @@ func runCampaignBatch(ctx context.Context, spec *workloads.Spec, p workloads.Par
 		recs[run] = rec
 		return nil
 	}
-	if err := b.Run(ctx, runs, arm, done); err != nil {
-		return nil, err
-	}
-	return recs, nil
+	return b.RunFrom(ctx, claim, arm, done)
 }
 
 // RunDataCampaignBatch is RunDataCampaign over `lanes` batch lanes:

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -259,6 +260,35 @@ func TestFleetNoFailoverOnDeterministicError(t *testing.T) {
 	}
 	if got := coord.Metrics().Failovers.Load(); got != 0 {
 		t.Errorf("failovers = %d, want 0 for a deterministic error", got)
+	}
+}
+
+// TestFleetRejectsRemovedShardsField: the coordinator decodes jobs with
+// unknown fields disallowed, like the workers, so a client still sending
+// the removed "shards" field gets a typed 400 bad_request from the
+// coordinator itself, without any worker being tried.
+func TestFleetRejectsRemovedShardsField(t *testing.T) {
+	coord, _ := newTestFleet(t, 2, nil, nil)
+	ts := httptest.NewServer(coord.Handler())
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"workload":"dmm","shards":2}`))
+	if err != nil {
+		t.Fatalf("POST /v1/jobs: %v", err)
+	}
+	defer resp.Body.Close()
+	var envelope struct {
+		Error *service.JobError `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil || envelope.Error == nil {
+		t.Fatalf("decode error envelope (status %d): %v", resp.StatusCode, err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || envelope.Error.Kind != service.ErrBadRequest ||
+		!strings.Contains(envelope.Error.Message, `unknown field "shards"`) {
+		t.Errorf("status %d error %+v, want 400 bad_request naming the unknown field \"shards\"", resp.StatusCode, envelope.Error)
+	}
+	if w := resp.Header.Get("X-Tia-Worker"); w != "" {
+		t.Errorf("request was routed to worker %s; it must be rejected before routing", w)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"runtime"
 	"strconv"
@@ -491,5 +492,67 @@ func TestWorkloadTraceJob(t *testing.T) {
 	}
 	if len(res.Elements) == 0 {
 		t.Error("result has no element stats")
+	}
+}
+
+// TestTraceJobOverflowsLimit runs a traced job whose fires overflow the
+// server's TraceEventLimit: the trace must hold exactly the newest
+// limit events, oldest first — the tail of the same job's unbounded
+// trace.
+func TestTraceJobOverflowsLimit(t *testing.T) {
+	traceOf := func(limit int) []map[string]any {
+		t.Helper()
+		cfg := testConfig()
+		cfg.TraceEventLimit = limit
+		svc := newServer(t, cfg)
+		defer svc.Drain()
+		res, err := svc.Submit(context.Background(), &service.JobRequest{Workload: "dmm", Trace: true})
+		if err != nil {
+			t.Fatalf("traced dmm job (limit %d): %v", limit, err)
+		}
+		var tr struct {
+			TraceEvents []map[string]any `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(res.Trace, &tr); err != nil {
+			t.Fatalf("trace is not Chrome trace-event JSON: %v", err)
+		}
+		return tr.TraceEvents
+	}
+	full := traceOf(0)
+	const limit = 100
+	if len(full) <= 3*limit {
+		t.Fatalf("unbounded trace has %d events; the job must overflow the limit several times over", len(full))
+	}
+	got := traceOf(limit)
+	if want := full[len(full)-limit:]; !reflect.DeepEqual(got, want) {
+		t.Errorf("bounded trace is not the newest %d events of the unbounded one:\ngot  %v ... %v\nwant %v ... %v",
+			limit, got[0], got[len(got)-1], want[0], want[len(want)-1])
+	}
+}
+
+// TestRemovedShardsFieldRejected pins the removal of per-job sharded
+// stepping as a typed API break: jobs are decoded with unknown fields
+// disallowed, so a client still sending "shards" gets a 400 bad_request
+// naming the field instead of having it silently ignored.
+func TestRemovedShardsFieldRejected(t *testing.T) {
+	svc := newServer(t, testConfig())
+	defer svc.Drain()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"workload":"dmm","shards":2}`))
+	if err != nil {
+		t.Fatalf("POST /v1/jobs: %v", err)
+	}
+	defer resp.Body.Close()
+	var envelope struct {
+		Error *service.JobError `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil || envelope.Error == nil {
+		t.Fatalf("decode error envelope (status %d): %v", resp.StatusCode, err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || envelope.Error.Kind != service.ErrBadRequest ||
+		!strings.Contains(envelope.Error.Message, `unknown field "shards"`) {
+		t.Errorf("status %d error %+v, want 400 bad_request naming the unknown field \"shards\"", resp.StatusCode, envelope.Error)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"tia/internal/isa"
@@ -23,10 +24,13 @@ type Event struct {
 }
 
 // Recorder collects events from any number of PEs, keeping at most the
-// configured limit (oldest dropped first; 0 means unlimited).
+// configured limit (oldest dropped first; 0 means unlimited). Once the
+// limit is reached, events is a ring buffer whose oldest entry sits at
+// head, so recording past the limit costs O(1) per event.
 type Recorder struct {
 	limit   int
 	events  []Event
+	head    int
 	dropped int64
 	pes     []string
 }
@@ -55,16 +59,27 @@ func (r *Recorder) Attach(p *pe.PE) {
 
 func (r *Recorder) add(e Event) {
 	if r.limit > 0 && len(r.events) >= r.limit {
-		copy(r.events, r.events[1:])
-		r.events[len(r.events)-1] = e
+		r.events[r.head] = e
+		if r.head++; r.head == len(r.events) {
+			r.head = 0
+		}
 		r.dropped++
 		return
 	}
 	r.events = append(r.events, e)
 }
 
-// Events returns the recorded events in order.
-func (r *Recorder) Events() []Event { return r.events }
+// Events returns the recorded events in order, oldest first. It rotates
+// the ring in place (no allocation) when recording has wrapped it.
+func (r *Recorder) Events() []Event {
+	if r.head > 0 {
+		slices.Reverse(r.events[:r.head])
+		slices.Reverse(r.events[r.head:])
+		slices.Reverse(r.events)
+		r.head = 0
+	}
+	return r.events
+}
 
 // Dropped reports how many events fell out of the bounded window.
 func (r *Recorder) Dropped() int64 { return r.dropped }
@@ -74,7 +89,7 @@ func (r *Recorder) WriteLog(w io.Writer) {
 	if r.dropped > 0 {
 		fmt.Fprintf(w, "... %d earlier events dropped ...\n", r.dropped)
 	}
-	for _, e := range r.events {
+	for _, e := range r.Events() {
 		fmt.Fprintf(w, "cycle %6d  %-12s %-12s = %d\n", e.Cycle, e.PE, e.Label, e.Result)
 	}
 }
@@ -95,7 +110,7 @@ func (r *Recorder) WriteTimeline(w io.Writer, from, to int64) {
 	}
 	// Bucket events by cycle.
 	byCycle := map[int64][]Event{}
-	for _, e := range r.events {
+	for _, e := range r.Events() {
 		if e.Cycle >= from && e.Cycle < to {
 			byCycle[e.Cycle] = append(byCycle[e.Cycle], e)
 		}
@@ -140,7 +155,7 @@ func (r *Recorder) WriteChromeJSON(w io.Writer) error {
 		TID      string `json:"tid"`
 	}
 	events := make([]chromeEvent, 0, len(r.events))
-	for _, e := range r.events {
+	for _, e := range r.Events() {
 		events = append(events, chromeEvent{
 			Name:     e.Label,
 			Phase:    "X",

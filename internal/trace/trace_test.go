@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 
 	"tia/internal/fabric"
 	"tia/internal/isa"
@@ -68,6 +69,50 @@ func TestBoundedRecorderDropsOldest(t *testing.T) {
 	last := r.Events()[2]
 	if last.Label != "fin" {
 		t.Errorf("last event %+v, want fin", last)
+	}
+}
+
+// TestBoundedRecorderRingBuffer records ten times past a 1e5-event
+// limit. Every event past the limit must cost O(1) time and no
+// allocation, the window must hold exactly the newest events oldest
+// first, and Dropped must count every evicted event — also when Events
+// is read while the ring has wrapped and recording then continues.
+func TestBoundedRecorderRingBuffer(t *testing.T) {
+	const limit = 100_000
+	r := New(limit)
+	n := 0
+	record := func(k int) {
+		for end := n + k; n < end; n++ {
+			r.add(Event{Cycle: int64(n)})
+		}
+	}
+	check := func() {
+		t.Helper()
+		ev := r.Events()
+		if len(ev) != limit {
+			t.Fatalf("window holds %d events, want %d", len(ev), limit)
+		}
+		for i, e := range ev {
+			if want := int64(n - limit + i); e.Cycle != want {
+				t.Fatalf("event %d has cycle %d, want %d", i, e.Cycle, want)
+			}
+		}
+		if got, want := r.Dropped(), int64(n-limit); got != want {
+			t.Fatalf("Dropped() = %d, want %d", got, want)
+		}
+	}
+	record(limit)
+	start := time.Now()
+	// AllocsPerRun calls the function once more as a warm-up, so this
+	// records 2 x 5 limits past the window.
+	if avg := testing.AllocsPerRun(1, func() { record(5*limit + 7) }); avg != 0 {
+		t.Errorf("recording past the limit: %.0f allocations, want 0", avg)
+	}
+	check() // the ring has wrapped mid-buffer: Events must rotate it
+	record(limit / 3)
+	check()
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("recording %d events past the limit took %v; want O(1) per event", n-limit, elapsed)
 	}
 }
 
