@@ -143,7 +143,21 @@ func TestSchedulerFullQueueRejectsBusy(t *testing.T) {
 	defer releaseJobs() // unblock workers before close() waits on them
 
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ { // one running, one queued: queue is now full
+	deadline := time.Now().Add(2 * time.Second)
+	waitFor := func(cond func() bool) {
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatal("queue never filled")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// Full means: the worker occupied by the first job, the second job
+	// sitting in the single queue slot. The second job is submitted only
+	// once the first is running; submitted together, both could land in
+	// the queue before the worker takes one, and the second would be
+	// rejected instead.
+	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -151,16 +165,11 @@ func TestSchedulerFullQueueRejectsBusy(t *testing.T) {
 				t.Errorf("background submit: %v", err)
 			}
 		}()
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	// Full means: the worker occupied by the first job, the second job
-	// sitting in the single queue slot.
-	for executing.Load() < 1 || m.QueueDepth.Load() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("queue never filled")
+		if i == 0 {
+			waitFor(func() bool { return executing.Load() >= 1 })
 		}
-		time.Sleep(time.Millisecond)
 	}
+	waitFor(func() bool { return m.QueueDepth.Load() >= 1 })
 
 	_, err := s.submit(context.Background(), "job-t", &JobRequest{})
 	wantKind(t, err, ErrBusy)
