@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench-smoke bench bench-json bench-compare alloc-gate fault-smoke batch-smoke snapshot-smoke compile-smoke fleet-smoke chaos-smoke fuzz-smoke check
+.PHONY: all build test race vet bench-smoke bench perfbench-test alloc-gate fault-smoke batch-smoke snapshot-smoke compile-smoke fleet-smoke chaos-smoke fuzz-smoke check
 
 all: build
 
@@ -26,27 +26,10 @@ bench-smoke:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 2s .
 
-# Perf-trajectory report: min-of-N wall-clock per kernel plus the
-# allocation-gated micro-benchmarks, written as BENCH_<date>.json. The
-# committed BENCH_*.json files record how the simulator's speed moves
-# over time; regenerate and commit alongside performance-affecting PRs.
-# An existing same-date baseline is never clobbered silently — a
-# committed trajectory point is history, overwriting it rewrites the
-# record. Pass FORCE=1 to regenerate today's file deliberately.
-bench-json:
-	@if [ -e BENCH_$$(date +%F).json ] && [ "$(FORCE)" != "1" ]; then \
-		echo "bench-json: BENCH_$$(date +%F).json already exists; rerun with FORCE=1 to overwrite"; \
-		exit 1; \
-	fi
-	$(GO) run ./cmd/tiabench -json-out BENCH_$$(date +%F).json
-
-# Compare a fresh bench run (written to a scratch file, not committed)
-# against the newest committed BENCH_*.json: per-kernel wall-clock
-# deltas, non-zero exit if any kernel regressed >10%. CI's bench job
-# runs this so perf regressions fail loudly against the trajectory.
-bench-compare:
-	$(GO) run ./cmd/tiabench -json-out /tmp/bench-fresh.json \
-		-compare "$$(ls BENCH_*.json | sort | tail -1)"
+# The repository benchmark (perfbench/, a separate module, so `./...`
+# above never reaches it): its harness and drift-gate tests.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Zero-allocation gates on the per-cycle hot paths (fabric step loop —
 # interpreted and compiled, dense and event — trigger classification,
@@ -115,4 +98,7 @@ chaos-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzSimulate' -fuzztime 60s ./internal/gen
 
-check: vet race bench-smoke alloc-gate fault-smoke batch-smoke snapshot-smoke compile-smoke fleet-smoke chaos-smoke fuzz-smoke
+# The -race smokes above (batch, snapshot, compile, fleet, chaos) are
+# subsets of `make race` and stay out of check; run them for a focused
+# local loop.
+check: vet race bench-smoke perfbench-test alloc-gate fault-smoke fuzz-smoke

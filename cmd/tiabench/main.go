@@ -11,7 +11,6 @@
 //	tiabench -listing <kernel>   # disassemble a kernel's programs
 //	tiabench -json               # machine-readable suite results
 //	tiabench -faults [-fault-runs N] [-fault-seed S] [-state FILE]   # resilience campaigns
-//	tiabench -json-out BENCH_$(date +%F).json   # perf-trajectory report
 //	tiabench -gen SEED [-size N]   # benchmark a generated netlist (internal/gen)
 //
 // Every simulation steps on one goroutine; -workers sets how many
@@ -25,15 +24,10 @@
 // dropped. Results are bit-identical to the interpreter; only wall
 // clock changes.
 //
-// -compare OLD.json (with -json-out) prints per-kernel wall-clock
-// deltas against an older BENCH report and exits non-zero if any
-// kernel regressed by more than 10% — the CI bench job uses this to
-// catch perf regressions against the committed trajectory.
-//
-// -json-out runs the bench suite instead of the experiments: min-of-N
-// wall-clock per kernel plus allocation-gated micro-benchmarks of the
-// trigger-resolution and fabric-stepping hot paths, written as a JSON
-// report so the perf trajectory is recorded in-repo (see make bench-json).
+// Simulator speed is measured by the repository benchmark in
+// perfbench/ (same-machine A/B, with the E1 cycle counts checked), not
+// here; -gen is the one timing mode, for ad-hoc runs on generated
+// netlists.
 //
 // With -faults -state FILE, each kernel's finished campaign row is
 // persisted after it completes; rerunning the same command after an
@@ -53,6 +47,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 
 	"tia/internal/core"
 	"tia/internal/fabric"
@@ -71,8 +67,6 @@ func main() {
 	faultState := flag.String("state", "", "campaign progress file: finished kernels are recorded and an interrupted sweep resumes (with -faults)")
 	workers := flag.Int("workers", 0, "max concurrent design-point simulations (0 = GOMAXPROCS)")
 	compiled := flag.Bool("compiled", false, "use the closure-compiled stepping backend (bit-identical results)")
-	benchOut := flag.String("json-out", "", "run the bench suite (min-of-N kernel wall-clock + micro-benchmarks) and write a BENCH json report to this file ('-' = stdout)")
-	compare := flag.String("compare", "", "with -json-out: compare the fresh report against this older BENCH json; exit non-zero on a >10% per-kernel regression")
 	timeout := flag.Duration("timeout", 0, "total wall-clock budget; expiry cancels simulations and prints partial results (0 = none)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -130,24 +124,6 @@ func main() {
 			os.Exit(1)
 		}
 		return
-	}
-	if *benchOut != "" {
-		rep, err := emitBenchJSON(ctx, p, *compiled, *benchOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tiabench:", err)
-			os.Exit(1)
-		}
-		if *compare != "" {
-			if err := compareBenchReports(os.Stdout, *compare, rep); err != nil {
-				fmt.Fprintln(os.Stderr, "tiabench:", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-	if *compare != "" {
-		fmt.Fprintln(os.Stderr, "tiabench: -compare requires -json-out (a fresh report to compare against)")
-		os.Exit(1)
 	}
 	if *jsonOut {
 		if err := emitJSON(ctx, p); err != nil {
@@ -279,7 +255,13 @@ func printListing(p workloads.Params, name string) error {
 	return nil
 }
 
+// experimentIDs are the values -experiment accepts.
+var experimentIDs = []string{"all", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8"}
+
 func run(ctx context.Context, p workloads.Params, exp string) error {
+	if !slices.Contains(experimentIDs, exp) {
+		return fmt.Errorf("unknown experiment %q (valid: %s)", exp, strings.Join(experimentIDs, ", "))
+	}
 	needSuite := map[string]bool{"all": true, "e1": true, "e2": true, "e3": true, "e5": true}
 	suitePartial := false
 	var rows []*core.Row

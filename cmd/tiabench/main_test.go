@@ -20,6 +20,10 @@ func TestRunSingleExperiments(t *testing.T) {
 			t.Errorf("experiment %s: %v", exp, err)
 		}
 	}
+	err := run(context.Background(), p, "e9")
+	if err == nil || !strings.Contains(err.Error(), "all, e1, e2, e3, e4, e5, e6, e7, e8") {
+		t.Errorf("unknown experiment: got %v, want an error naming the valid ids", err)
+	}
 }
 
 func TestRunE1Small(t *testing.T) {

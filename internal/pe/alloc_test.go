@@ -12,6 +12,27 @@ import (
 	"tia/internal/channel"
 )
 
+// classifyAll refreshes the channel status caches and classifies every
+// program instruction once, returning how many are fireable: reference
+// selects the slice-walking reference classifier instead of the bitmask
+// fast path.
+func (p *PE) classifyAll(reference bool) int {
+	p.refreshStatus()
+	n := 0
+	for i := range p.prog {
+		var r readiness
+		if reference {
+			r = p.classifyRef(&p.prog[i])
+		} else {
+			r = p.classifyFast(&p.prog[i])
+		}
+		if r == fireable {
+			n++
+		}
+	}
+	return n
+}
+
 // TestClassifyAllocationFree gates both classifier implementations.
 func TestClassifyAllocationFree(t *testing.T) {
 	p, a, bb, _ := benchMergeSetup(t)
@@ -21,10 +42,10 @@ func TestClassifyAllocationFree(t *testing.T) {
 	bb.Tick()
 	for _, reference := range []bool{false, true} {
 		avg := testing.AllocsPerRun(100, func() {
-			p.ClassifyAll(reference)
+			p.classifyAll(reference)
 		})
 		if avg != 0 {
-			t.Errorf("ClassifyAll(reference=%v) allocates %.1f times per run, want 0", reference, avg)
+			t.Errorf("classifyAll(reference=%v) allocates %.1f times per run, want 0", reference, avg)
 		}
 	}
 }

@@ -592,28 +592,6 @@ func (p *PE) classifyRef(ci *compiled) readiness {
 	return fireable
 }
 
-// ClassifyAll refreshes the channel status caches and classifies every
-// program instruction once, returning how many are fireable. It is the
-// external benchmark hook for the trigger-resolution hot path (see
-// cmd/tiabench -json-out and BenchmarkClassify): reference selects the
-// slice-walking reference classifier instead of the bitmask fast path.
-func (p *PE) ClassifyAll(reference bool) int {
-	p.refreshStatus()
-	n := 0
-	for i := range p.prog {
-		var r readiness
-		if reference {
-			r = p.classifyRef(&p.prog[i])
-		} else {
-			r = p.classifyFast(&p.prog[i])
-		}
-		if r == fireable {
-			n++
-		}
-	}
-	return n
-}
-
 // refreshStatus rebuilds the per-cycle channel status caches: one bit per
 // input channel that is non-empty (with its head tag), one bit per output
 // channel with send credit.

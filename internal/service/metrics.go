@@ -80,8 +80,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	counter("tia_compile_cache_misses_total", "Compiled-plan cache misses (process-wide, see internal/compile).", cc.Misses)
 	gauge("tia_job_queue_depth", "Jobs submitted but not yet executing.", m.QueueDepth.Load())
 	gauge("tia_jobs_running", "Jobs executing right now.", m.Running.Load())
-	gauge("tia_jobs_queued", "Jobs admitted and waiting for a worker.", m.QueueDepth.Load())
-	gauge("tia_jobs_inflight", "Jobs executing right now.", m.Running.Load())
 	counter("tia_cycles_simulated_total", "Fabric cycles simulated across all jobs.", m.CyclesSimulated.Load())
 	counter("tia_faults_injected_total", "Discrete fault events injected by campaigns.", m.FaultsInjected.Load())
 	counter("tia_fault_runs_masked_total", "Campaign runs byte-identical to the golden run.", m.FaultRunsMasked.Load())

@@ -233,6 +233,12 @@ func TestServerEndToEnd(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+	// Each gauge is exported once, under one name.
+	for _, gone := range []string{"tia_jobs_queued", "tia_jobs_inflight"} {
+		if strings.Contains(string(metricsText), gone) {
+			t.Errorf("/metrics still exports the removed duplicate gauge %q", gone)
+		}
+	}
 	// The cancelled job may or may not have reached a worker before its
 	// 1ms deadline fired, so started is 2 or 3 — but never more.
 	m := regexp.MustCompile(`(?m)^tia_jobs_started_total (\d+)$`).FindStringSubmatch(string(metricsText))
