@@ -57,19 +57,22 @@ batch-smoke:
 	$(GO) test -race -run 'TestBatchedCampaign|TestBatchedTiming' -count=1 ./internal/core
 
 # Checkpoint/restore differential smoke under the race detector: two
-# kernels on both steppers, run-to-completion vs snapshot-then-restore
-# must be byte-identical (see internal/workloads/snapshot_differential_test.go).
+# kernels on every stepper, run-to-completion vs snapshot-then-restore
+# must be byte-identical, including runs that end in deadlock with the
+# checkpoint inside the quiescence window (see
+# internal/workloads/snapshot_differential_test.go).
 snapshot-smoke:
-	$(GO) test -race -run 'TestSnapshotRestoreDifferential$$/(dmm|mergesort)/' -count=1 ./internal/workloads
+	$(GO) test -race -run 'TestSnapshotRestoreDifferential$$/(dmm|mergesort)/|TestSnapshotRestoreDeadlock' -count=1 ./internal/workloads
 
 # Compiled-stepping differential smoke under the race detector: every
 # kernel's compiled arm against the interpreted oracle, the compiled
 # snapshot/restore and zero-rate fault-plan differentials, the quick
-# random-topology equivalence sweep, and the service-level cache
-# contracts (compiled/interpreted result sharing, plan sharing across
-# cosmetic sources).
+# random-topology equivalence sweep, and the service-level contracts of
+# Config.DefaultCompiled (a compiling server answers byte-for-byte what
+# an interpreting one does under the same result keys; cosmetic sources
+# share one plan).
 compile-smoke:
-	$(GO) test -race -run 'TestSchedulerSteppingDifferential/.*/compiled|TestSnapshotRestoreDifferential$$/(dmm|mergesort)/compiled|TestZeroRateFaultPlanDifferential/.*/compiled|TestSchedulerEquivalenceQuick|TestCompiled' -count=1 ./internal/workloads ./internal/service
+	$(GO) test -race -run 'TestSchedulerSteppingDifferential/.*/compiled|TestSnapshotRestoreDifferential$$/(dmm|mergesort)/compiled|TestZeroRateFaultPlanDifferential/.*/compiled|TestSchedulerEquivalenceQuick|TestCompiledServerMatchesInterpreted|TestCompiledPlanSharedAcrossCosmeticSources' -count=1 ./internal/workloads ./internal/service
 
 # Loopback multi-process fleet e2e: three real tiad worker processes
 # plus a coordinator — cache-affinity routing across resubmission,

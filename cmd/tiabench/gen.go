@@ -34,10 +34,10 @@ func genParams(seed int64, size int) gen.Params {
 
 // runGenerated benchmarks one generated netlist: assemble once per run
 // (parse cost excluded from the reported wall clock), simulate min-of-3
-// under the configured stepping backend, and print the topology census
-// plus throughput. The netlist is a pure function of (seed, size), so a
-// number in a discussion reproduces anywhere.
-func runGenerated(ctx context.Context, w io.Writer, seed int64, size int, compiled bool, lanes int) error {
+// on the interpreter, and print the topology census plus throughput.
+// The netlist is a pure function of (seed, size), so a number in a
+// discussion reproduces anywhere.
+func runGenerated(ctx context.Context, w io.Writer, seed int64, size, lanes int) error {
 	if lanes > 1 {
 		return runGeneratedBatch(ctx, w, seed, size, lanes)
 	}
@@ -60,7 +60,6 @@ func runGenerated(ctx context.Context, w io.Writer, seed int64, size int, compil
 		if err != nil {
 			return err
 		}
-		nl.Fabric.SetCompiled(compiled)
 		start := time.Now()
 		res, err := nl.Fabric.RunContext(ctx, genMaxCycles)
 		elapsed := time.Since(start)

@@ -27,7 +27,7 @@ func TestRunGenerated(t *testing.T) {
 		if tc.lanes <= 1 {
 			for s := int64(seed); s < seed+seeds; s++ {
 				var out bytes.Buffer
-				if err := runGenerated(context.Background(), &out, s, size, false, tc.lanes); err != nil {
+				if err := runGenerated(context.Background(), &out, s, size, tc.lanes); err != nil {
 					t.Fatalf("%s seed %d: %v", tc.name, s, err)
 				}
 				m := serialRE.FindStringSubmatch(out.String())
@@ -38,7 +38,7 @@ func TestRunGenerated(t *testing.T) {
 			}
 		} else {
 			var out bytes.Buffer
-			if err := runGenerated(context.Background(), &out, seed, size, false, tc.lanes); err != nil {
+			if err := runGenerated(context.Background(), &out, seed, size, tc.lanes); err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 			for _, m := range batchRE.FindAllStringSubmatch(out.String(), -1) {

@@ -18,12 +18,6 @@
 // (-faults -batch K) also spread their runs over parallel lane groups,
 // one per GOMAXPROCS, with results identical to serial.
 //
-// -compiled switches every simulation to the closure-compiled stepping
-// backend (internal/compile): per-PE trigger pools are specialized into
-// step closures with constant operands folded and dead triggers
-// dropped. Results are bit-identical to the interpreter; only wall
-// clock changes.
-//
 // Simulator speed is measured by the repository benchmark in
 // perfbench/ (same-machine A/B, with the E1 cycle counts checked), not
 // here; -gen is the one timing mode, for ad-hoc runs on generated
@@ -66,7 +60,6 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", 4242, "fault plan seed (with -faults)")
 	faultState := flag.String("state", "", "campaign progress file: finished kernels are recorded and an interrupted sweep resumes (with -faults)")
 	workers := flag.Int("workers", 0, "max concurrent design-point simulations (0 = GOMAXPROCS)")
-	compiled := flag.Bool("compiled", false, "use the closure-compiled stepping backend (bit-identical results)")
 	timeout := flag.Duration("timeout", 0, "total wall-clock budget; expiry cancels simulations and prints partial results (0 = none)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -81,7 +74,6 @@ func main() {
 	})
 
 	core.MaxWorkers = *workers
-	core.Compiled = *compiled
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -119,7 +111,7 @@ func main() {
 
 	p := workloads.Params{Size: *size, Seed: *seed}
 	if genSet {
-		if err := runGenerated(ctx, os.Stdout, *genSeed, *size, *compiled, *batch); err != nil {
+		if err := runGenerated(ctx, os.Stdout, *genSeed, *size, *batch); err != nil {
 			fmt.Fprintln(os.Stderr, "tiabench:", err)
 			os.Exit(1)
 		}

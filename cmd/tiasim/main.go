@@ -14,14 +14,9 @@
 //
 // Usage:
 //
-//	tiasim [-max N] [-stats] [-trace N] [-chrome out.json] [-compiled]
+//	tiasim [-max N] [-stats] [-trace N] [-chrome out.json]
 //	       [-checkpoint FILE [-checkpoint-every N]] [-restore FILE]
 //	       fabric.tia
-//
-// -compiled switches stepping to the closure-compiled backend
-// (internal/compile): each PE's trigger pool is specialized into a step
-// closure with constant operands folded and dead triggers dropped.
-// Results are bit-identical; only wall clock changes.
 package main
 
 import (
@@ -46,9 +41,6 @@ type options struct {
 	stats      bool
 	traceN     int64
 	chromePath string
-	// compiled steps via closure-compiled per-PE step functions
-	// (bit-identical results; only wall clock changes).
-	compiled bool
 	// checkpoint is the snapshot file written every ckptEvery cycles
 	// (and on cycle-budget exhaustion); empty disables checkpointing.
 	checkpoint string
@@ -63,7 +55,6 @@ func main() {
 	flag.Int64Var(&opt.maxCycles, "max", 1_000_000, "cycle budget")
 	flag.BoolVar(&opt.stats, "stats", false, "print per-element utilization")
 	flag.Int64Var(&opt.traceN, "trace", 0, "render a fire timeline of the first N cycles")
-	flag.BoolVar(&opt.compiled, "compiled", false, "use the closure-compiled stepping backend (results are bit-identical)")
 	flag.StringVar(&opt.chromePath, "chrome", "", "write a Chrome trace-event JSON file of all fires")
 	flag.StringVar(&opt.checkpoint, "checkpoint", "", "write a state snapshot to this file periodically")
 	flag.Int64Var(&opt.ckptEvery, "checkpoint-every", 10_000, "cycles between -checkpoint snapshots")
@@ -121,7 +112,6 @@ func run(path string, opt options) error {
 		return err
 	}
 	fingerprint := nl.Fingerprint()
-	nl.Fabric.SetCompiled(opt.compiled)
 
 	budget := opt.maxCycles
 	if opt.restore != "" {

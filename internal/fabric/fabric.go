@@ -150,7 +150,10 @@ type Config struct {
 	// replaces the generic Element.Step walk in the dense, event-driven
 	// and sharded steppers alike. Results are bit-identical to the
 	// interpreter (the stepModes differential sweeps assert it); like
-	// Shards, this is a stepping knob, not part of the modeled machine.
+	// Shards, this is a stepping choice, not part of the modeled machine.
+	// No CLI flag, request field or core variable sets it: production
+	// steps with the interpreter, and the compiled backend stays a
+	// library path for tests and embedders.
 	Compiled bool
 }
 
@@ -170,8 +173,13 @@ type Fabric struct {
 	place map[Element]point
 	binds []bind
 	cycle int64
-	dense bool
-	inj   FaultInjector
+	// idleStreak counts the consecutive idle cycles quiescence detection
+	// has seen up to cycle. It is run state like cycle: it carries from
+	// one Run to the next, is zeroed by Reset, and travels in snapshots,
+	// so a restored run quiesces on the cycle the original did.
+	idleStreak int
+	dense      bool
+	inj        FaultInjector
 
 	ckptEvery int64
 	ckptFn    func(cycle int64) error
@@ -709,7 +717,6 @@ func (f *Fabric) refreshCompiled() {
 func (f *Fabric) runDense(ctx context.Context, maxCycles int64) (Result, error) {
 	cc := f.newCancelCheck(ctx)
 	steps := f.prep.steps
-	idleStreak := 0
 	for n := int64(0); n < maxCycles; n++ {
 		if err := cc.expired(); err != nil {
 			if f.ckptFn != nil {
@@ -756,23 +763,14 @@ func (f *Fabric) runDense(ctx context.Context, maxCycles int64) (Result, error) 
 		if f.sinksDone() {
 			return Result{Cycles: f.cycle, Completed: true}, nil
 		}
+		idle := f.countIdle(!worked && !busyChans)
 		if f.ckptFn != nil && f.cycle%f.ckptEvery == 0 {
 			if err := f.ckptFn(f.cycle); err != nil {
 				return Result{Cycles: f.cycle}, fmt.Errorf("cycle %d: checkpoint: %w", f.cycle, err)
 			}
 		}
-		if !worked && !busyChans && (f.inj == nil || !f.inj.Active()) {
-			idleStreak++
-			if idleStreak >= f.cfg.QuiescenceWindow {
-				res := Result{Cycles: f.cycle, Quiesced: true}
-				if len(f.sinks) == 0 {
-					res.Completed = true
-					return res, nil
-				}
-				return res, fmt.Errorf("cycle %d: %w: %s", f.cycle, ErrDeadlock, f.diagnoseDeadlock())
-			}
-		} else {
-			idleStreak = 0
+		if idle && f.idleStreak >= f.cfg.QuiescenceWindow {
+			return f.quiesced()
 		}
 	}
 	return Result{Cycles: f.cycle}, fmt.Errorf("after %d cycles: %w", f.cycle, ErrTimeout)
@@ -964,11 +962,36 @@ func (f *Fabric) runEvent(ctx context.Context, maxCycles int64) (Result, error) 
 	return f.beginEvent(ctx, maxCycles).Finish()
 }
 
+// countIdle advances the quiescence streak for the cycle just committed
+// and reports whether that cycle was idle. Steppers call it before the
+// checkpoint hook, so a snapshot taken there holds the streak the next
+// cycle continues from.
+func (f *Fabric) countIdle(quiet bool) bool {
+	idle := quiet && (f.inj == nil || !f.inj.Active())
+	if idle {
+		f.idleStreak++
+	} else {
+		f.idleStreak = 0
+	}
+	return idle
+}
+
+// quiesced ends a run whose idle streak reached the quiescence window:
+// completion for a sinkless fabric, deadlock otherwise.
+func (f *Fabric) quiesced() (Result, error) {
+	res := Result{Cycles: f.cycle, Quiesced: true}
+	if len(f.sinks) == 0 {
+		res.Completed = true
+		return res, nil
+	}
+	return res, fmt.Errorf("cycle %d: %w: %s", f.cycle, ErrDeadlock, f.diagnoseDeadlock())
+}
+
 // epilogue is the end-of-cycle bookkeeping shared by the event-driven
 // and sharded steppers: advance time, surface element faults, detect
-// completion, checkpoint, and track quiescence. It reports done=true
+// completion, track quiescence, and checkpoint. It reports done=true
 // when the run must return (res, err).
-func (f *Fabric) epilogue(st *runState, worked bool, idleStreak *int) (bool, Result, error) {
+func (f *Fabric) epilogue(st *runState, worked bool) (bool, Result, error) {
 	f.cycle++
 	for _, fe := range f.prep.faulties {
 		if err := fe.f.Err(); err != nil {
@@ -980,24 +1003,16 @@ func (f *Fabric) epilogue(st *runState, worked bool, idleStreak *int) (bool, Res
 		f.backfillSleepers(st)
 		return true, Result{Cycles: f.cycle, Completed: true}, nil
 	}
+	idle := f.countIdle(!worked && st.busyCount == 0)
 	if f.ckptFn != nil && f.cycle%f.ckptEvery == 0 {
 		if err := f.checkpointSleepers(st); err != nil {
 			return true, Result{Cycles: f.cycle}, fmt.Errorf("cycle %d: checkpoint: %w", f.cycle, err)
 		}
 	}
-	if !worked && st.busyCount == 0 && (f.inj == nil || !f.inj.Active()) {
-		*idleStreak++
-		if *idleStreak >= f.cfg.QuiescenceWindow {
-			f.backfillSleepers(st)
-			res := Result{Cycles: f.cycle, Quiesced: true}
-			if len(f.sinks) == 0 {
-				res.Completed = true
-				return true, res, nil
-			}
-			return true, res, fmt.Errorf("cycle %d: %w: %s", f.cycle, ErrDeadlock, f.diagnoseDeadlock())
-		}
-	} else {
-		*idleStreak = 0
+	if idle && f.idleStreak >= f.cfg.QuiescenceWindow {
+		f.backfillSleepers(st)
+		res, err := f.quiesced()
+		return true, res, err
 	}
 	return false, Result{}, nil
 }
@@ -1086,4 +1101,5 @@ func (f *Fabric) Reset() {
 		ch.Reset()
 	}
 	f.cycle = 0
+	f.idleStreak = 0
 }

@@ -137,7 +137,6 @@ func (f *Fabric) runSharded(ctx context.Context, maxCycles int64, k int) (Result
 	}()
 
 	cc := f.newCancelCheck(ctx)
-	idleStreak := 0
 	for n := int64(0); n < maxCycles; n++ {
 		if err := cc.expired(); err != nil {
 			f.backfillSleepers(st)
@@ -184,7 +183,7 @@ func (f *Fabric) runSharded(ctx context.Context, maxCycles int64, k int) (Result
 
 		f.commitChannels(st, cur)
 
-		if done, res, err := f.epilogue(st, worked, &idleStreak); done {
+		if done, res, err := f.epilogue(st, worked); done {
 			return res, err
 		}
 	}

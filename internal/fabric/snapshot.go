@@ -68,10 +68,10 @@ func (s *Sink) RestoreState(d *snapshot.Decoder) error {
 }
 
 // Snapshot captures the fabric's full architectural state at the current
-// cycle boundary: every element, every channel, and the fault injector
-// if one is attached. The given assembled-form fingerprint is baked into
-// the header so the snapshot can only be restored onto the identical
-// program (see Restore).
+// cycle boundary: every element, every channel, the fault injector if
+// one is attached, and the quiescence idle streak. The given
+// assembled-form fingerprint is baked into the header so the snapshot
+// can only be restored onto the identical program (see Restore).
 //
 // Snapshot is only meaningful at a cycle boundary — between Tick commit
 // and the next cycle's element steps — which is where the run loops'
@@ -107,6 +107,7 @@ func (f *Fabric) Snapshot(fingerprint string) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("fabric snapshot: fault injector %T does not support checkpointing", f.inj)
 	}
+	body.Int(f.idleStreak)
 	return snapshot.Encode(snapshot.Header{Fingerprint: fingerprint, Cycle: f.cycle}, body.Data()), nil
 }
 
@@ -185,10 +186,18 @@ func (f *Fabric) Restore(data []byte, fingerprint string) error {
 			return fmt.Errorf("fabric restore: %w", err)
 		}
 	}
+	streak := d.Int()
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("fabric restore: %w", err)
+	}
+	if streak < 0 {
+		return fmt.Errorf("fabric restore: negative idle streak %d", streak)
+	}
 	if d.Remaining() != 0 {
 		return fmt.Errorf("fabric restore: %d trailing bytes in body", d.Remaining())
 	}
 	f.cycle = h.Cycle
+	f.idleStreak = streak
 	return nil
 }
 

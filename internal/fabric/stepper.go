@@ -21,15 +21,14 @@ import (
 // allocate nothing. After Step reports the run finished, Result holds
 // the same Result/error RunContext would have returned.
 type Stepper struct {
-	f          *Fabric
-	st         *runState
-	cc         cancelCheck
-	budget     int64 // cycles this run may simulate (RunContext's maxCycles)
-	n          int64 // cycles simulated so far by this Stepper
-	idleStreak int
-	done       bool
-	res        Result
-	err        error
+	f      *Fabric
+	st     *runState
+	cc     cancelCheck
+	budget int64 // cycles this run may simulate (RunContext's maxCycles)
+	n      int64 // cycles simulated so far by this Stepper
+	done   bool
+	res    Result
+	err    error
 }
 
 // BeginRun validates the fabric and readies its pooled Stepper for an
@@ -148,7 +147,7 @@ func (s *Stepper) Step() bool {
 
 	f.commitChannels(st, cur)
 
-	if done, res, err := f.epilogue(st, worked, &s.idleStreak); done {
+	if done, res, err := f.epilogue(st, worked); done {
 		return s.finish(res, err)
 	}
 	return false

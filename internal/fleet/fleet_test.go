@@ -265,30 +265,45 @@ func TestFleetNoFailoverOnDeterministicError(t *testing.T) {
 
 // TestFleetRejectsRemovedShardsField: the coordinator decodes jobs with
 // unknown fields disallowed, like the workers, so a client still sending
-// the removed "shards" field gets a typed 400 bad_request from the
-// coordinator itself, without any worker being tried.
+// a removed field ("shards", "compiled" or "faults.lanes") gets a typed
+// 400 bad_request from the coordinator itself, without any worker being
+// tried.
 func TestFleetRejectsRemovedShardsField(t *testing.T) {
-	coord, _ := newTestFleet(t, 2, nil, nil)
+	coord, workers := newTestFleet(t, 2, nil, nil)
 	ts := httptest.NewServer(coord.Handler())
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"workload":"dmm","shards":2}`))
-	if err != nil {
-		t.Fatalf("POST /v1/jobs: %v", err)
+	for _, tc := range []struct{ field, body string }{
+		{"shards", `{"workload":"dmm","shards":2}`},
+		{"compiled", `{"workload":"dmm","compiled":true}`},
+		{"lanes", `{"workload":"dmm","faults":{"runs":4,"lanes":2}}`},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatalf("POST /v1/jobs: %v", err)
+			}
+			defer resp.Body.Close()
+			var envelope struct {
+				Error *service.JobError `json:"error"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil || envelope.Error == nil {
+				t.Fatalf("decode error envelope (status %d): %v", resp.StatusCode, err)
+			}
+			want := fmt.Sprintf("unknown field %q", tc.field)
+			if resp.StatusCode != http.StatusBadRequest || envelope.Error.Kind != service.ErrBadRequest ||
+				!strings.Contains(envelope.Error.Message, want) {
+				t.Errorf("status %d error %+v, want 400 bad_request naming the %s", resp.StatusCode, envelope.Error, want)
+			}
+			if w := resp.Header.Get("X-Tia-Worker"); w != "" {
+				t.Errorf("request was routed to worker %s; it must be rejected before routing", w)
+			}
+		})
 	}
-	defer resp.Body.Close()
-	var envelope struct {
-		Error *service.JobError `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil || envelope.Error == nil {
-		t.Fatalf("decode error envelope (status %d): %v", resp.StatusCode, err)
-	}
-	if resp.StatusCode != http.StatusBadRequest || envelope.Error.Kind != service.ErrBadRequest ||
-		!strings.Contains(envelope.Error.Message, `unknown field "shards"`) {
-		t.Errorf("status %d error %+v, want 400 bad_request naming the unknown field \"shards\"", resp.StatusCode, envelope.Error)
-	}
-	if w := resp.Header.Get("X-Tia-Worker"); w != "" {
-		t.Errorf("request was routed to worker %s; it must be rejected before routing", w)
+	for i, w := range workers {
+		if n := w.svc.Metrics().JobsStarted.Load(); n != 0 {
+			t.Errorf("worker %d started %d jobs; removed fields must be rejected before routing", i, n)
+		}
 	}
 }
 

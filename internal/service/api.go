@@ -38,20 +38,12 @@ type JobRequest struct {
 	ChannelCapacity int   `json:"channel_capacity,omitempty"`
 	ChannelLatency  int   `json:"channel_latency,omitempty"`
 
-	// Compiled requests closure-compiled stepping for this job's fabric
-	// (applies to netlist jobs too): each PE's trigger pool is
-	// specialized into a step closure before the run (see
-	// internal/compile). It is bit-identical to interpreted stepping,
-	// so it does not key the result cache: a compiled job can be
-	// answered by a cached interpreted run and vice versa.
-	//
-	// There is no "shards" field: per-job sharded stepping was removed,
-	// and because jobs are decoded with unknown fields disallowed, a
-	// request that still sends "shards" is rejected with a 400
-	// bad_request rather than silently ignored. Multi-core speed comes
-	// from the worker pool and, within a campaign, from parallel lane
-	// groups (see Faults).
-	Compiled bool `json:"compiled,omitempty"`
+	// There is no "shards" or "compiled" field: the stepping backend is
+	// fixed by the server, not chosen per job. Because jobs are decoded
+	// with unknown fields disallowed, a request that still sends either
+	// is rejected with a 400 bad_request rather than silently ignored.
+	// Multi-core speed comes from the worker pool and, within a
+	// campaign, from parallel lane groups (see Faults).
 
 	// MaxCycles bounds the simulation; 0 uses the server default. The
 	// server-configured ceiling always applies.
@@ -124,11 +116,9 @@ type FaultCampaignRequest struct {
 	DropRate float64 `json:"drop_rate,omitempty"`
 	DupRate  float64 `json:"dup_rate,omitempty"`
 
-	// Lanes is the number of batch lanes the campaign's runs execute
-	// across (structure-of-arrays lane reuse; see internal/batchrun).
-	// 0 picks the server default; 1 forces serial execution. Results
-	// are bit-identical either way.
-	Lanes int `json:"lanes,omitempty"`
+	// There is no "lanes" field: the server picks the lane width (see
+	// JobResult.Lanes), and a request that sends one gets a 400
+	// bad_request. Lane count never changes results.
 }
 
 // CampaignSummary is the aggregate outcome taxonomy of a fault campaign.

@@ -16,13 +16,10 @@ const maxCampaignRuns = 256
 // defaultCampaignRuns applies when the request leaves Runs unset.
 const defaultCampaignRuns = 10
 
-// defaultCampaignLanes is the batch width campaigns execute across when
-// the request leaves Lanes unset; maxCampaignLanes caps explicit
-// requests. Lane count never changes results, only amortization.
-const (
-	defaultCampaignLanes = 8
-	maxCampaignLanes     = 64
-)
+// defaultCampaignLanes is the batch width campaigns execute across
+// (fewer when a campaign has fewer runs). Lane count never changes
+// results, only amortization.
+const defaultCampaignLanes = 8
 
 // planFromRequest translates the wire form into a fault plan.
 func planFromRequest(fc *FaultCampaignRequest) faults.Plan {
@@ -65,16 +62,7 @@ func (s *Server) runFaultCampaign(ctx context.Context, id string, req *JobReques
 	if err := plan.Validate(); err != nil {
 		return nil, jobErrorf(ErrBadRequest, "%v", err)
 	}
-	lanes := req.Faults.Lanes
-	if lanes <= 0 {
-		lanes = defaultCampaignLanes
-	}
-	if lanes > maxCampaignLanes {
-		lanes = maxCampaignLanes
-	}
-	if lanes > runs {
-		lanes = runs
-	}
+	lanes := min(runs, defaultCampaignLanes)
 
 	timing := plan.Timing()
 	var rep *core.CampaignReport

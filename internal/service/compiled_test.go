@@ -1,10 +1,11 @@
 package service_test
 
-// Tests for the compiled-stepping job knob: Compiled is a stepping
-// choice, not a modeled parameter, so compiled and interpreted jobs
-// share result-cache entries byte-for-byte; and compiled plans are
-// content-addressed by assembled-form fingerprint, so cosmetically
-// different netlist sources that assemble identically share one plan.
+// Tests for Config.DefaultCompiled: compiled stepping is a stepping
+// choice, not a modeled parameter, so a server that compiles every job
+// answers byte-for-byte what an interpreting server answers, under the
+// same result keys; and compiled plans are content-addressed by
+// assembled-form fingerprint, so cosmetically different netlist sources
+// that assemble identically share one plan.
 
 import (
 	"bytes"
@@ -28,41 +29,47 @@ func normalizeResult(t *testing.T, r *service.JobResult) []byte {
 	return b
 }
 
-// TestCompiledJobSharesResultCache submits the same workload interpreted
-// and compiled: the compiled submission must be answered from the result
-// cache (Compiled is excluded from the result key), and a forced
-// compiled re-simulation must reproduce the interpreted result
-// byte-for-byte.
-func TestCompiledJobSharesResultCache(t *testing.T) {
-	svc := newServer(t, testConfig())
-	defer svc.Drain()
+// compiledConfig is testConfig with every job stepped by the compiled
+// backend.
+func compiledConfig() service.Config {
+	cfg := testConfig()
+	cfg.DefaultCompiled = true
+	return cfg
+}
+
+// TestCompiledServerMatchesInterpreted runs the same workload on an
+// interpreting server and on a compiling one: the compiled run must
+// really simulate and consult the plan cache, key the result cache
+// exactly as the interpreted run does (DefaultCompiled is excluded from
+// the result key), and reproduce the interpreted result byte-for-byte.
+func TestCompiledServerMatchesInterpreted(t *testing.T) {
+	interpSvc := newServer(t, testConfig())
+	defer interpSvc.Drain()
+	compiledSvc := newServer(t, compiledConfig())
+	defer compiledSvc.Drain()
 	ctx := context.Background()
 
-	interp, err := svc.Submit(ctx, &service.JobRequest{Workload: "mergesort", Size: 12})
+	interp, err := interpSvc.Submit(ctx, &service.JobRequest{Workload: "mergesort", Size: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compiled, err := svc.Submit(ctx, &service.JobRequest{Workload: "mergesort", Size: 12, Compiled: true})
+	c0 := compile.Counters()
+	compiled, err := compiledSvc.Submit(ctx, &service.JobRequest{Workload: "mergesort", Size: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !compiled.Cached {
-		t.Error("compiled submission missed the result cache despite an identical interpreted run")
+	if c1 := compile.Counters(); c1.Hits+c1.Misses == c0.Hits+c0.Misses {
+		t.Fatalf("compiled workload job never consulted the plan cache (%+v -> %+v)", c0, c1)
+	}
+	if compiled.Cached {
+		t.Error("first submission to the compiled server reported a cache hit")
 	}
 	if interp.Key != compiled.Key {
 		t.Errorf("result keys differ: interpreted %s, compiled %s", interp.Key, compiled.Key)
 	}
-
-	fresh, err := svc.Submit(ctx, &service.JobRequest{Workload: "mergesort", Size: 12, Compiled: true, NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh.Cached {
-		t.Error("NoCache submission reported a cache hit")
-	}
-	if !bytes.Equal(normalizeResult(t, interp), normalizeResult(t, fresh)) {
-		t.Errorf("compiled re-simulation diverges from the interpreted result:\n%s\n%s",
-			normalizeResult(t, interp), normalizeResult(t, fresh))
+	if !bytes.Equal(normalizeResult(t, interp), normalizeResult(t, compiled)) {
+		t.Errorf("compiled simulation diverges from the interpreted result:\n%s\n%s",
+			normalizeResult(t, interp), normalizeResult(t, compiled))
 	}
 }
 
@@ -73,17 +80,19 @@ func TestCompiledJobSharesResultCache(t *testing.T) {
 // grow, misses do not. The compiled netlist run must also byte-equal the
 // interpreted one.
 func TestCompiledPlanSharedAcrossCosmeticSources(t *testing.T) {
-	svc := newServer(t, testConfig())
+	interpSvc := newServer(t, testConfig())
+	defer interpSvc.Drain()
+	svc := newServer(t, compiledConfig())
 	defer svc.Drain()
 	ctx := context.Background()
 
-	interp, err := svc.Submit(ctx, &service.JobRequest{Netlist: mergeNetlist})
+	interp, err := interpSvc.Submit(ctx, &service.JobRequest{Netlist: mergeNetlist})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	c0 := compile.Counters()
-	first, err := svc.Submit(ctx, &service.JobRequest{Netlist: mergeNetlist, Compiled: true, NoCache: true})
+	first, err := svc.Submit(ctx, &service.JobRequest{Netlist: mergeNetlist, NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +108,7 @@ func TestCompiledPlanSharedAcrossCosmeticSources(t *testing.T) {
 	// cached program, separate PE objects) but an equal assembled-form
 	// fingerprint — NoCache forces it past the result cache so it really
 	// simulates, and the plan cache must serve it without a new compile.
-	second, err := svc.Submit(ctx, &service.JobRequest{Netlist: mergeNetlistCosmetic, Compiled: true, NoCache: true})
+	second, err := svc.Submit(ctx, &service.JobRequest{Netlist: mergeNetlistCosmetic, NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,6 +172,46 @@ func TestRestartReplaysInterruptedJob(t *testing.T) {
 	}
 }
 
+// TestReplayAcceptsRemovedRequestFields pins journal compatibility
+// across the removal of the per-job "compiled" and "faults.lanes"
+// fields: an accepted record written before the upgrade still carries
+// them, and because the journal decodes leniently (json.Unmarshal, not
+// the HTTP handler's unknown-field check) the job replays to completion
+// with the result a current request without those fields produces.
+func TestReplayAcceptsRemovedRequestFields(t *testing.T) {
+	want := baselineRun(t, &JobRequest{Workload: "dmm", Faults: &FaultCampaignRequest{
+		Runs: 4, Seed: 7, JitterRate: 0.1, JitterMax: 2,
+	}})
+
+	cfg := durableConfig(t.TempDir())
+	j, recs := openTestJournal(t, cfg.JournalPath)
+	if len(recs) != 0 {
+		t.Fatalf("crafting over a non-empty journal (%d records)", len(recs))
+	}
+	old := `{"kind":"accepted","id":"job-000003","req":{"workload":"dmm","compiled":true,` +
+		`"faults":{"runs":4,"seed":7,"jitter_rate":0.1,"jitter_max":2,"lanes":2}}}`
+	if err := j.log.Append([]byte(old)); err != nil {
+		t.Fatalf("append pre-upgrade record: %v", err)
+	}
+	mustAppend(t, j, journalRecord{Kind: recStarted, ID: "job-000003"})
+	j.close()
+
+	svc := mustNew(t, cfg)
+	defer svc.Drain()
+	svc.WaitRecovered()
+	if got := svc.Metrics().JobsReplayed.Load(); got != 1 {
+		t.Fatalf("JobsReplayed = %d, want 1", got)
+	}
+	st, ok := svc.tracker.get("job-000003")
+	if !ok || st.State != JobStateCompleted || st.Result == nil {
+		t.Fatalf("replayed job status = %+v, want completed with a result", st)
+	}
+	if !bytes.Equal(normalizedResult(t, st.Result), normalizedResult(t, want)) {
+		t.Errorf("replayed result diverges from a current request:\n%s\n%s",
+			normalizedResult(t, st.Result), normalizedResult(t, want))
+	}
+}
+
 // TestRestartResumesFromCheckpoint crafts a crash after a persisted
 // checkpoint and proves the restarted daemon resumed rather than
 // re-ran: the result matches the uninterrupted run byte-for-byte while

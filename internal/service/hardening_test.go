@@ -214,16 +214,19 @@ func TestFaultCampaignJob(t *testing.T) {
 	}
 
 	// Campaign outcomes feed the Prometheus counters.
-	snap := svc.Metrics().Snapshot()
-	for k, want := range map[string]int64{
-		"faults_injected":     9,
-		"fault_runs_masked":   7,
-		"fault_runs_detected": 3,
-		"fault_runs_silent":   1,
-		"fault_runs_hang":     1,
+	m := svc.Metrics()
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"faults_injected", m.FaultsInjected.Load(), 9},
+		{"fault_runs_masked", m.FaultRunsMasked.Load(), 7},
+		{"fault_runs_detected", m.FaultRunsDetected.Load(), 3},
+		{"fault_runs_silent", m.FaultRunsSilent.Load(), 1},
+		{"fault_runs_hang", m.FaultRunsHang.Load(), 1},
 	} {
-		if snap[k] != want {
-			t.Errorf("metric %s = %d, want %d", k, snap[k], want)
+		if c.got != c.want {
+			t.Errorf("metric %s = %d, want %d", c.name, c.got, c.want)
 		}
 	}
 	var b strings.Builder

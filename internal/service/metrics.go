@@ -89,37 +89,3 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# HELP tia_sim_cycles_per_second Aggregate simulation throughput since start.\n"+
 		"# TYPE tia_sim_cycles_per_second gauge\ntia_sim_cycles_per_second %g\n", m.CyclesPerSecond())
 }
-
-// Snapshot returns the counters as a plain map, for expvar and tests.
-// The compile-cache counters are process-wide (internal/compile owns the
-// content-addressed plan cache), mirrored here so one scrape sees them.
-func (m *Metrics) Snapshot() map[string]int64 {
-	cc := compile.Counters()
-	return map[string]int64{
-		"compile_cache_hits":     cc.Hits,
-		"compile_cache_misses":   cc.Misses,
-		"jobs_started":           m.JobsStarted.Load(),
-		"jobs_completed":         m.JobsCompleted.Load(),
-		"jobs_failed":            m.JobsFailed.Load(),
-		"jobs_cancelled":         m.JobsCancelled.Load(),
-		"jobs_rejected":          m.JobsRejected.Load(),
-		"jobs_rejected_resource": m.JobsRejectedResource.Load(),
-		"jobs_replayed":          m.JobsReplayed.Load(),
-		"jobs_resumed":           m.JobsResumed.Load(),
-		"snapshot_exports":       m.SnapshotExports.Load(),
-		"status_lookups":         m.StatusLookups.Load(),
-		"result_cache_hits":      m.ResultHits.Load(),
-		"result_cache_misses":    m.ResultMisses.Load(),
-		"program_cache_hits":     m.ProgramHits.Load(),
-		"program_cache_misses":   m.ProgramMisses.Load(),
-		"queue_depth":            m.QueueDepth.Load(),
-		"jobs_running":           m.Running.Load(),
-		"cycles_simulated":       m.CyclesSimulated.Load(),
-		"sim_nanos":              m.SimNanos.Load(),
-		"faults_injected":        m.FaultsInjected.Load(),
-		"fault_runs_masked":      m.FaultRunsMasked.Load(),
-		"fault_runs_detected":    m.FaultRunsDetected.Load(),
-		"fault_runs_silent":      m.FaultRunsSilent.Load(),
-		"fault_runs_hang":        m.FaultRunsHang.Load(),
-	}
-}

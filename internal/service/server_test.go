@@ -321,12 +321,12 @@ func TestFingerprintCosmeticInvariance(t *testing.T) {
 	if !second.Cached {
 		t.Error("cosmetic respelling missed the result cache")
 	}
-	snap := svc.Metrics().Snapshot()
-	if snap["program_cache_misses"] != 2 {
-		t.Errorf("program_cache_misses = %d, want 2 (distinct sources)", snap["program_cache_misses"])
+	m := svc.Metrics()
+	if got := m.ProgramMisses.Load(); got != 2 {
+		t.Errorf("program_cache_misses = %d, want 2 (distinct sources)", got)
 	}
-	if snap["result_cache_hits"] != 1 {
-		t.Errorf("result_cache_hits = %d, want 1 (same fingerprint)", snap["result_cache_hits"])
+	if got := m.ResultHits.Load(); got != 1 {
+		t.Errorf("result_cache_hits = %d, want 1 (same fingerprint)", got)
 	}
 }
 
@@ -536,29 +536,44 @@ func TestTraceJobOverflowsLimit(t *testing.T) {
 	}
 }
 
-// TestRemovedShardsFieldRejected pins the removal of per-job sharded
-// stepping as a typed API break: jobs are decoded with unknown fields
-// disallowed, so a client still sending "shards" gets a 400 bad_request
-// naming the field instead of having it silently ignored.
+// removedJobFields are request fields that no longer exist, each with
+// the JSON name the decoder reports: per-job sharded stepping, the
+// per-job stepping backend and a campaign's lane width.
+var removedJobFields = []struct{ field, body string }{
+	{"shards", `{"workload":"dmm","shards":2}`},
+	{"compiled", `{"workload":"dmm","compiled":true}`},
+	{"lanes", `{"workload":"dmm","faults":{"runs":4,"lanes":2}}`},
+}
+
+// TestRemovedShardsFieldRejected pins the removal of per-job stepping
+// and lane options as a typed API break: jobs are decoded with unknown
+// fields disallowed, so a client still sending "shards", "compiled" or
+// "faults.lanes" gets a 400 bad_request naming the field instead of
+// having it silently ignored.
 func TestRemovedShardsFieldRejected(t *testing.T) {
 	svc := newServer(t, testConfig())
 	defer svc.Drain()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"workload":"dmm","shards":2}`))
-	if err != nil {
-		t.Fatalf("POST /v1/jobs: %v", err)
-	}
-	defer resp.Body.Close()
-	var envelope struct {
-		Error *service.JobError `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil || envelope.Error == nil {
-		t.Fatalf("decode error envelope (status %d): %v", resp.StatusCode, err)
-	}
-	if resp.StatusCode != http.StatusBadRequest || envelope.Error.Kind != service.ErrBadRequest ||
-		!strings.Contains(envelope.Error.Message, `unknown field "shards"`) {
-		t.Errorf("status %d error %+v, want 400 bad_request naming the unknown field \"shards\"", resp.StatusCode, envelope.Error)
+	for _, tc := range removedJobFields {
+		t.Run(tc.field, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatalf("POST /v1/jobs: %v", err)
+			}
+			defer resp.Body.Close()
+			var envelope struct {
+				Error *service.JobError `json:"error"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil || envelope.Error == nil {
+				t.Fatalf("decode error envelope (status %d): %v", resp.StatusCode, err)
+			}
+			want := fmt.Sprintf("unknown field %q", tc.field)
+			if resp.StatusCode != http.StatusBadRequest || envelope.Error.Kind != service.ErrBadRequest ||
+				!strings.Contains(envelope.Error.Message, want) {
+				t.Errorf("status %d error %+v, want 400 bad_request naming the %s", resp.StatusCode, envelope.Error, want)
+			}
+		})
 	}
 }

@@ -38,8 +38,11 @@ import (
 const Magic = "TIASNAP\x01"
 
 // Version is the current container format version. Decoders reject
-// versions they do not know; state layout changes bump it.
-const Version = 1
+// versions they do not know; state layout changes bump it. Version 2
+// added the fabric's quiescence idle streak; version 1 snapshots lack it
+// and are refused rather than restored into a run that could quiesce on
+// a different cycle.
+const Version = 2
 
 // ErrCorrupt wraps every container-level decode failure: bad magic,
 // unknown version, truncated input, or digest mismatch.

@@ -169,20 +169,23 @@ func TestContainerRejectsCorruption(t *testing.T) {
 }
 
 func TestContainerRejectsUnknownVersion(t *testing.T) {
-	// Hand-build a container with version 99 and a valid digest: only the
-	// version check can reject it.
-	var e Encoder
-	e.buf = append(e.buf, Magic...)
-	e.U64(99)
-	e.String("fp")
-	e.I64(0)
-	e.Bytes(nil)
-	framed := e.Data()
-	sumOver := append([]byte(nil), framed...)
-	enc := appendDigest(sumOver)
-	_, _, err := Decode(enc)
-	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("want version error, got %v", err)
+	// Hand-build containers with a foreign version and a valid digest:
+	// only the version check can reject them. Version 1 predates the
+	// fabric's idle-streak field and must be refused like any other.
+	for _, ver := range []uint64{1, 99} {
+		var e Encoder
+		e.buf = append(e.buf, Magic...)
+		e.U64(ver)
+		e.String("fp")
+		e.I64(0)
+		e.Bytes(nil)
+		framed := e.Data()
+		sumOver := append([]byte(nil), framed...)
+		enc := appendDigest(sumOver)
+		_, _, err := Decode(enc)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("version %d: want version error, got %v", ver, err)
+		}
 	}
 }
 

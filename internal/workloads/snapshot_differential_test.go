@@ -13,10 +13,12 @@ package workloads
 // cycle barrier).
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
 	"tia/internal/channel"
+	"tia/internal/fabric"
 	"tia/internal/faults"
 	"tia/internal/pcpe"
 	"tia/internal/pe"
@@ -81,22 +83,28 @@ func snapObserve(inst *Instance, inj *faults.Injector, cycles int64, completed b
 // instance restored from B's mid-run snapshot and run to the end. All
 // three observations must be deeply equal (including error text for
 // fault plans that hang or deadlock the kernel: a restored run must fail
-// at the same absolute cycle with the same diagnosis).
+// at the same absolute cycle with the same diagnosis). The checkpoint
+// lands halfway through the run.
 func runSnapshotDifferential(t *testing.T, spec *Spec, p Params, pc, dense bool, shards int, compiled bool, plan *faults.Plan) {
+	t.Helper()
+	half := func(end int64) int64 { return end / 2 }
+	if err := snapshotDifferentialAt(t, spec, p, pc, dense, shards, compiled, plan, half); plan == nil && err != nil {
+		t.Fatalf("%s: fault-free run failed: %v", spec.Name, err)
+	}
+}
+
+// snapshotDifferentialAt is runSnapshotDifferential with the checkpoint
+// cycle chosen by at from the uninterrupted run's final cycle. It
+// returns the uninterrupted run's error.
+func snapshotDifferentialAt(t *testing.T, spec *Spec, p Params, pc, dense bool, shards int, compiled bool, plan *faults.Plan, at func(end int64) int64) error {
 	t.Helper()
 	fp := "test:" + spec.Name // stand-in fingerprint; both sides must agree
 
 	a, injA := buildForSnapshot(t, spec, p, pc, dense, shards, compiled, plan)
 	resA, errA := a.Fabric.Run(spec.MaxCycles(p))
 	obsA := snapObserve(a, injA, resA.Cycles, resA.Completed, errA)
-	if plan == nil && errA != nil {
-		t.Fatalf("%s: fault-free run failed: %v", spec.Name, errA)
-	}
 
-	mid := resA.Cycles / 2
-	if mid < 1 {
-		mid = 1
-	}
+	mid := max(at(resA.Cycles), 1)
 
 	b, injB := buildForSnapshot(t, spec, p, pc, dense, shards, compiled, plan)
 	var snap []byte
@@ -141,6 +149,7 @@ func runSnapshotDifferential(t *testing.T, spec *Spec, p Params, pc, dense bool,
 	if err := wrong.Fabric.Restore(snap, fp+"-other"); err == nil {
 		t.Errorf("restore accepted a mismatched fingerprint")
 	}
+	return errA
 }
 
 // TestSnapshotRestoreDifferential is the headline contract: all kernels,
@@ -158,6 +167,58 @@ func TestSnapshotRestoreDifferential(t *testing.T) {
 				t.Run(spec.Name+"/"+mode.label+"/"+planLabel, func(t *testing.T) {
 					p := spec.Normalize(Params{Seed: 11, Size: 12})
 					runSnapshotDifferential(t, spec, p, false, mode.dense, mode.shards, mode.compiled, plan)
+				})
+			}
+		}
+	}
+}
+
+// stuckSpec wraps spec so each TIA instance also carries a sink waiting
+// for an EOD that an empty source never sends: the kernel finishes its
+// real output, the fabric goes idle, and quiescence detection ends the
+// run in deadlock.
+func stuckSpec(spec *Spec) *Spec {
+	s := *spec
+	s.BuildTIA = func(p Params) (*Instance, error) {
+		inst, err := spec.BuildTIA(p)
+		if err != nil {
+			return nil, err
+		}
+		src := fabric.NewSource("stuck-src", nil)
+		snk := fabric.NewSink("stuck-sink")
+		inst.Fabric.Add(src)
+		inst.Fabric.Add(snk)
+		inst.Fabric.Wire(src, 0, snk, 0)
+		return inst, nil
+	}
+	return &s
+}
+
+// TestSnapshotRestoreDeadlock restores runs that end in deadlock, with
+// the checkpoint both halfway through and one cycle before the end,
+// inside the quiescence window: the snapshot must carry the idle streak
+// so the restored run reports the same deadlock on the same cycle.
+func TestSnapshotRestoreDeadlock(t *testing.T) {
+	// Kernels whose PEs all go idle once the output is done; others
+	// (dmm, aes, …) keep firing and would run into the cycle budget.
+	for _, name := range []string{"kmp", "mergesort"} {
+		base, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := stuckSpec(base)
+		for _, mode := range stepModes {
+			for label, at := range map[string]func(int64) int64{
+				"half":      func(end int64) int64 { return end / 2 },
+				"in-window": func(end int64) int64 { return end - 1 },
+			} {
+				mode, at := mode, at
+				t.Run(name+"/"+mode.label+"/"+label, func(t *testing.T) {
+					p := spec.Normalize(Params{Seed: 11, Size: 12})
+					err := snapshotDifferentialAt(t, spec, p, false, mode.dense, mode.shards, mode.compiled, nil, at)
+					if !errors.Is(err, fabric.ErrDeadlock) {
+						t.Fatalf("uninterrupted run ended with %v, want a deadlock", err)
+					}
 				})
 			}
 		}
