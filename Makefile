@@ -33,11 +33,12 @@ perfbench-test:
 
 # Zero-allocation gates on the per-cycle hot paths (fabric step loop —
 # interpreted and compiled, dense and event — trigger classification,
-# channel reset/restore reuse): any regression to >0 allocs/op fails
-# these tests, not just a benchmark number. One-time compilation cost
-# is gated separately as a bounded constant.
+# channel reset/restore reuse, a campaign worker's Reset+Rearm+run
+# body): any regression to >0 allocs/op fails these tests, not just a
+# benchmark number. One-time compilation cost is gated separately as a
+# bounded constant.
 alloc-gate:
-	$(GO) test -run 'AllocationFree|AllocationBounded|ReusesCapacity' -count=1 ./internal/fabric ./internal/pe ./internal/channel ./internal/batchrun
+	$(GO) test -run 'AllocationFree|AllocationBounded|ReusesCapacity' -count=1 ./internal/fabric ./internal/pe ./internal/channel ./internal/faults
 
 # Seeded fault-campaign smoke: one kernel, fixed seed, exact expected
 # masked/detected/sdc/hang taxonomy (see internal/core/resilience_test.go).
@@ -45,15 +46,15 @@ fault-smoke:
 	$(GO) test -run 'TestFaultCampaignSmoke' -count=1 ./internal/core
 
 # Batched-campaign differential smoke under the race detector: the
-# structure-of-arrays batched stepper (internal/batchrun), split into
-# parallel lane groups, must produce campaign reports bit-identical to
-# the serial runner for every kernel (data + timing plans) at
-# GOMAXPROCS 1, 2 and 4; the known timing violation and a mid-run
-# cancellation must return the serial runner's errors with no
-# goroutine left behind. Lane eviction and lane bookkeeping contracts
-# ride along (see internal/core/batch_test.go).
+# batched runners, one reused instance per parallel worker, must
+# produce campaign reports bit-identical to the serial runner for every
+# kernel (data + timing plans) at GOMAXPROCS 1, 2 and 4; the known
+# timing violation and a mid-run cancellation must return the serial
+# runner's errors with no goroutine left behind (see
+# internal/core/batch_test.go). The Reset+Rearm reuse contract and its
+# allocation gate ride along (see internal/faults/rearm_test.go).
 batch-smoke:
-	$(GO) test -race -count=1 ./internal/batchrun
+	$(GO) test -race -run 'TestRearm' -count=1 ./internal/faults
 	$(GO) test -race -run 'TestBatchedCampaign|TestBatchedTiming' -count=1 ./internal/core
 
 # Checkpoint/restore differential smoke under the race detector: two
@@ -96,7 +97,8 @@ chaos-smoke:
 # Generative differential fuzz smoke: 60 seconds of FuzzSimulate —
 # seeded random netlists (plus hostile mutations) assembled, validated
 # and run on all four stepping backends to bit-identical results, with a
-# mid-run snapshot/restore arm (see internal/gen). The committed corpus
+# mid-run snapshot/restore arm and a Reset-and-rerun arm (see
+# internal/gen). The committed corpus
 # also replays as an ordinary test in `make test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzSimulate' -fuzztime 60s ./internal/gen

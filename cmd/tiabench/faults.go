@@ -12,6 +12,10 @@ import (
 	"tia/internal/workloads"
 )
 
+// campaignLanes caps how many instances a campaign runs at once: the
+// cap the service's campaign jobs use. It bounds memory, never results.
+const campaignLanes = 8
+
 // campaignRow is one kernel's finished campaign pair, exactly the fields
 // the printed table needs — persisting it makes the row replayable
 // without re-simulating.
@@ -92,11 +96,13 @@ func (st *campaignState) save(path string) error {
 // interrupted sweep resumes where it stopped: recorded kernels print
 // from the state file without re-simulating.
 //
-// With -batch K the campaigns execute across K batched lanes
-// (internal/batchrun): every row is bit-identical to serial — lane
-// reuse amortizes instance builds, it never changes outcomes — so
-// state files recorded serially resume batched and vice versa.
-func runFaultCampaigns(ctx context.Context, out io.Writer, p workloads.Params, runs int, seed int64, statePath string, lanes int) error {
+// Each campaign runs on up to campaignLanes reused instances at once
+// (core's batched runners): every row is bit-identical to serial, so
+// instance reuse never changes what a state file records.
+func runFaultCampaigns(ctx context.Context, out io.Writer, p workloads.Params, runs int, seed int64, statePath string) error {
+	if runs < 1 {
+		return fmt.Errorf("-fault-runs %d: want at least 1 run per campaign", runs)
+	}
 	var st *campaignState
 	if statePath != "" {
 		var err error
@@ -105,11 +111,7 @@ func runFaultCampaigns(ctx context.Context, out io.Writer, p workloads.Params, r
 		}
 	}
 
-	fmt.Fprintf(out, "Fault campaigns: %d timing + %d data runs per kernel, seed %d", runs, runs, seed)
-	if lanes > 1 {
-		fmt.Fprintf(out, ", batched across %d lanes", lanes)
-	}
-	fmt.Fprintln(out)
+	fmt.Fprintf(out, "Fault campaigns: %d timing + %d data runs per kernel, seed %d\n", runs, runs, seed)
 	fmt.Fprintln(out, "timing faults (latency jitter, channel stalls, element freezes) must leave results byte-identical;")
 	fmt.Fprintln(out, "data faults (bit flips, drops, dups) are classified against the fault-free golden run")
 	fmt.Fprintln(out)
@@ -122,11 +124,11 @@ func runFaultCampaigns(ctx context.Context, out io.Writer, p workloads.Params, r
 			row, done = st.Kernels[spec.Name]
 		}
 		if !done {
-			trep, err := core.RunTimingCampaignBatch(ctx, spec, p, core.DefaultTimingPlan(seed), runs, lanes, false)
+			trep, err := core.RunTimingCampaignBatch(ctx, spec, p, core.DefaultTimingPlan(seed), runs, campaignLanes, false)
 			if err != nil {
 				return err
 			}
-			drep, err := core.RunDataCampaignBatch(ctx, spec, p, core.DefaultDataPlan(seed), runs, lanes)
+			drep, err := core.RunDataCampaignBatch(ctx, spec, p, core.DefaultDataPlan(seed), runs, campaignLanes)
 			if err != nil {
 				return err
 			}

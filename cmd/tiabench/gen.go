@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"tia/internal/asm"
-	"tia/internal/batchrun"
-	"tia/internal/fabric"
 	"tia/internal/gen"
 	"tia/internal/isa"
 	"tia/internal/pcpe"
@@ -37,10 +35,7 @@ func genParams(seed int64, size int) gen.Params {
 // on the interpreter, and print the topology census plus throughput.
 // The netlist is a pure function of (seed, size), so a number in a
 // discussion reproduces anywhere.
-func runGenerated(ctx context.Context, w io.Writer, seed int64, size, lanes int) error {
-	if lanes > 1 {
-		return runGeneratedBatch(ctx, w, seed, size, lanes)
-	}
+func runGenerated(ctx context.Context, w io.Writer, seed int64, size int) error {
 	p := genParams(seed, size)
 	src := gen.Netlist(p)
 	census, err := asm.CheckNetlist(src, isa.DefaultConfig(), pcpe.DefaultConfig())
@@ -72,47 +67,5 @@ func runGenerated(ctx context.Context, w io.Writer, seed int64, size, lanes int)
 	}
 	persec := float64(cycles) / best.Seconds()
 	fmt.Fprintf(w, "completed in %d cycles, best of 3: %v (%.0f cycles/s)\n", cycles, best, persec)
-	return nil
-}
-
-// runGeneratedBatch (-gen SEED -batch K) sweeps K generator seeds
-// SEED..SEED+K-1 as K batch lanes advanced in lockstep: each lane
-// parses and runs its own generated netlist, so the sweep exercises the
-// batched stepper over heterogeneous topologies (the kernels' campaigns
-// batch homogeneous ones). Per-lane results are by construction those
-// of a standalone run — the batch only interleaves scheduling.
-func runGeneratedBatch(ctx context.Context, w io.Writer, seed int64, size, lanes int) error {
-	b, err := batchrun.New(
-		batchrun.Config{Lanes: lanes, MaxCycles: genMaxCycles},
-		func(lane int) (*fabric.Fabric, any, error) {
-			src := gen.Netlist(genParams(seed+int64(lane), size))
-			nl, err := asm.ParseNetlist(src, isa.DefaultConfig(), pcpe.DefaultConfig())
-			if err != nil {
-				return nil, nil, fmt.Errorf("seed %d: %w", seed+int64(lane), err)
-			}
-			return nl.Fabric, nil, nil
-		})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "generated seed sweep: %d lanes, seeds %d..%d, size %d\n", lanes, seed, seed+int64(lanes)-1, size)
-	start := time.Now()
-	var total int64
-	err = b.Run(ctx, lanes,
-		func(l *batchrun.Lane, run int) error { return nil },
-		func(l *batchrun.Lane, run int, res fabric.Result, err error) error {
-			if err != nil {
-				return fmt.Errorf("seed %d: %w", seed+int64(l.ID), err)
-			}
-			total += res.Cycles
-			fmt.Fprintf(w, "  seed %d: completed in %d cycles\n", seed+int64(l.ID), res.Cycles)
-			return nil
-		})
-	if err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-	fmt.Fprintf(w, "swept %d seeds, %d total cycles in %v (%.0f cycles/s aggregate)\n",
-		lanes, total, elapsed, float64(total)/elapsed.Seconds())
 	return nil
 }

@@ -14,9 +14,9 @@
 //	tiabench -gen SEED [-size N]   # benchmark a generated netlist (internal/gen)
 //
 // Every simulation steps on one goroutine; -workers sets how many
-// independent design points run at once. Batched fault campaigns
-// (-faults -batch K) also spread their runs over parallel lane groups,
-// one per GOMAXPROCS, with results identical to serial.
+// independent design points run at once. Fault campaigns (-faults)
+// also spread their runs over up to 8 reused instances, one worker per
+// GOMAXPROCS, with results identical to serial.
 //
 // Simulator speed is measured by the repository benchmark in
 // perfbench/ (same-machine A/B, with the E1 cycle counts checked), not
@@ -64,7 +64,6 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	genSeed := flag.Int64("gen", 0, "benchmark a generated netlist with this seed (internal/gen; scaled by -size) instead of the experiments")
-	batch := flag.Int("batch", 0, "campaign batch lanes: run -faults campaigns across K structure-of-arrays lanes, or sweep -gen across K generator seeds (0/1 = serial; results bit-identical)")
 	flag.Parse()
 	genSet := false
 	flag.Visit(func(f *flag.Flag) {
@@ -111,7 +110,7 @@ func main() {
 
 	p := workloads.Params{Size: *size, Seed: *seed}
 	if genSet {
-		if err := runGenerated(ctx, os.Stdout, *genSeed, *size, *batch); err != nil {
+		if err := runGenerated(ctx, os.Stdout, *genSeed, *size); err != nil {
 			fmt.Fprintln(os.Stderr, "tiabench:", err)
 			os.Exit(1)
 		}
@@ -132,7 +131,7 @@ func main() {
 		return
 	}
 	if *faults {
-		if err := runFaultCampaigns(ctx, os.Stdout, p, *faultRuns, *faultSeed, *faultState, *batch); err != nil {
+		if err := runFaultCampaigns(ctx, os.Stdout, p, *faultRuns, *faultSeed, *faultState); err != nil {
 			fmt.Fprintln(os.Stderr, "tiabench:", err)
 			os.Exit(1)
 		}

@@ -62,9 +62,7 @@ func TestPrintListing(t *testing.T) {
 // TestFaultCampaignStateResume runs the campaign sweep with a progress
 // file, then reruns it: the second pass must serve every kernel from the
 // recorded state instead of re-simulating. Tampering with a recorded row
-// and seeing the tampered value printed proves the skip. The recording
-// passes run batched and the tamper pass serial: state files are
-// mode-agnostic because batched rows are bit-identical to serial.
+// and seeing the tampered value printed proves the skip.
 func TestFaultCampaignStateResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign sweep")
@@ -72,12 +70,12 @@ func TestFaultCampaignStateResume(t *testing.T) {
 	p := workloads.Params{Seed: 1, Size: 8}
 	state := t.TempDir() + "/campaigns.json"
 	var first bytes.Buffer
-	if err := runFaultCampaigns(context.Background(), &first, p, 3, 4242, state, 2); err != nil {
+	if err := runFaultCampaigns(context.Background(), &first, p, 3, 4242, state); err != nil {
 		t.Fatal(err)
 	}
 
 	var second bytes.Buffer
-	if err := runFaultCampaigns(context.Background(), &second, p, 3, 4242, state, 2); err != nil {
+	if err := runFaultCampaigns(context.Background(), &second, p, 3, 4242, state); err != nil {
 		t.Fatal(err)
 	}
 	if first.String() != second.String() {
@@ -101,7 +99,7 @@ func TestFaultCampaignStateResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	var third bytes.Buffer
-	if err := runFaultCampaigns(context.Background(), &third, p, 3, 4242, state, 1); err != nil {
+	if err := runFaultCampaigns(context.Background(), &third, p, 3, 4242, state); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(third.String(), "987654321") {
@@ -109,7 +107,23 @@ func TestFaultCampaignStateResume(t *testing.T) {
 	}
 
 	// Parameter drift is refused, not silently mixed into stale rows.
-	if err := runFaultCampaigns(context.Background(), io.Discard, p, 5, 4242, state, 1); err == nil {
+	if err := runFaultCampaigns(context.Background(), io.Discard, p, 5, 4242, state); err == nil {
 		t.Error("state recorded under different -fault-runs accepted")
+	}
+}
+
+// TestFaultCampaignsRejectNoRuns: a campaign needs at least one run; a
+// zero or negative -fault-runs is an error naming the flag, not a table
+// of 0/0 rows.
+func TestFaultCampaignsRejectNoRuns(t *testing.T) {
+	for _, runs := range []int{0, -3} {
+		var out bytes.Buffer
+		err := runFaultCampaigns(context.Background(), &out, workloads.Params{Seed: 1, Size: 8}, runs, 4242, "")
+		if err == nil || !strings.Contains(err.Error(), "-fault-runs") {
+			t.Errorf("-fault-runs %d: error %v, want one naming -fault-runs", runs, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-fault-runs %d: printed %q before failing", runs, out.String())
+		}
 	}
 }

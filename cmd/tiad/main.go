@@ -32,11 +32,12 @@
 //	     [-server-cost-budget N]
 //
 // Each simulation steps on one goroutine; -workers sets how many run at
-// once. A fault-campaign job additionally spreads its runs over parallel
-// lane groups, one per GOMAXPROCS, with results identical to serial.
+// once. A fault-campaign job additionally spreads its runs over up to 8
+// reused instances, one worker per GOMAXPROCS, with results identical
+// to serial.
 //
 // Jobs step with the interpreter; neither a flag nor a request field
-// selects the stepping backend or a campaign's lane width.
+// selects the stepping backend or a campaign's instance cap.
 //
 // With -journal, every accepted job is recorded in a crash-safe
 // write-ahead journal before it runs, long workload runs persist

@@ -20,10 +20,11 @@ import (
 // campaign must produce reports bit-identical to the serial runners —
 // the same per-run records (outcome, cycles, injected counts, detail
 // strings), the same taxonomy, the same golden anchor — whatever the
-// number of parallel lane groups: GOMAXPROCS 1 runs one group on the
-// caller's goroutine, 2 and 4 split the lanes across goroutines that
-// share one run counter. Run under -race in `make batch-smoke` this
-// also shakes out any accidental sharing between lanes or groups.
+// number of workers: GOMAXPROCS 1 runs one worker on the caller's
+// goroutine, 2 and 4 split the runs across goroutines that share one
+// run counter. A zero-run campaign must return the serial runner's
+// empty report. Run under -race in `make batch-smoke` this also shakes
+// out any accidental sharing between workers.
 func TestBatchedCampaignDifferential(t *testing.T) {
 	ctx := context.Background()
 	for _, spec := range workloads.All() {
@@ -32,7 +33,7 @@ func TestBatchedCampaignDifferential(t *testing.T) {
 			p := workloads.Params{Seed: 11, Size: 8}
 			data := faults.Plan{Seed: 9100, FlipRate: 0.01, DropRate: 0.005, DupRate: 0.005}
 			timing := DefaultTimingPlan(9200)
-			const runs, lanes = 12, 5 // runs not divisible by lanes: exercises refill + tail drain
+			const runs, lanes = 12, 5 // more runs than lanes: every instance is reused
 
 			serial, err := RunDataCampaign(ctx, spec, p, data, runs)
 			if err != nil {
@@ -42,8 +43,31 @@ func TestBatchedCampaignDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("serial timing campaign: %v", err)
 			}
+			// An empty campaign is the serial runner's empty report.
+			serial0, err := RunDataCampaign(ctx, spec, p, data, 0)
+			if err != nil {
+				t.Fatalf("serial empty data campaign: %v", err)
+			}
+			serialT0, err := RunTimingCampaign(ctx, spec, p, timing, 0, false)
+			if err != nil {
+				t.Fatalf("serial empty timing campaign: %v", err)
+			}
 			for _, procs := range []int{1, 2, 4} {
 				withGOMAXPROCS(procs, func() {
+					batched0, err := RunDataCampaignBatch(ctx, spec, p, data, 0, lanes)
+					if err != nil {
+						t.Fatalf("GOMAXPROCS=%d: batched empty data campaign: %v", procs, err)
+					}
+					if !reflect.DeepEqual(serial0, batched0) {
+						t.Errorf("GOMAXPROCS=%d: empty data campaign reports diverge:\nserial:  %+v\nbatched: %+v", procs, serial0, batched0)
+					}
+					batchedT0, err := RunTimingCampaignBatch(ctx, spec, p, timing, 0, 3, false)
+					if err != nil {
+						t.Fatalf("GOMAXPROCS=%d: batched empty timing campaign: %v", procs, err)
+					}
+					if !reflect.DeepEqual(serialT0, batchedT0) {
+						t.Errorf("GOMAXPROCS=%d: empty timing campaign reports diverge:\nserial:  %+v\nbatched: %+v", procs, serialT0, batchedT0)
+					}
 					batched, err := RunDataCampaignBatch(ctx, spec, p, data, runs, lanes)
 					if err != nil {
 						t.Fatalf("GOMAXPROCS=%d: batched data campaign: %v", procs, err)
@@ -65,7 +89,7 @@ func TestBatchedCampaignDifferential(t *testing.T) {
 }
 
 // withGOMAXPROCS runs fn with GOMAXPROCS set to procs, which fixes the
-// number of parallel lane groups a batched campaign splits into.
+// number of workers a batched campaign splits into.
 func withGOMAXPROCS(procs int, fn func()) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	fn()
@@ -73,7 +97,7 @@ func withGOMAXPROCS(procs int, fn func()) {
 
 // TestBatchedCampaignSmoke pins the batched taxonomy to the exact
 // counts of TestFaultCampaignSmoke: same kernel, same plan, same seeds,
-// executed over 4 lanes. Identical pins, not merely self-consistent —
+// executed on up to 4 instances. Identical pins, not merely self-consistent —
 // the batched path must reproduce the serial numbers.
 func TestBatchedCampaignSmoke(t *testing.T) {
 	ctx := context.Background()
@@ -95,7 +119,7 @@ func TestBatchedCampaignSmoke(t *testing.T) {
 
 // A batched timing campaign over a violating plan must report the same
 // lowest-seed violation error the serial runner aborts with, even
-// though the batch retires runs out of order.
+// though the workers finish runs out of order.
 func TestBatchedTimingViolationMatchesSerial(t *testing.T) {
 	ctx := context.Background()
 	spec, err := workloads.ByName("mergesort")
@@ -121,7 +145,7 @@ func TestBatchedTimingViolationMatchesSerial(t *testing.T) {
 // TestBatchedTimingKnownViolation pins the one known latency-
 // insensitivity violation (sha256 at default size, plan seed
 // 694305949282, broken at run seed 694305949342) across runners: the
-// parallel lane groups retire runs in any order, yet they must report
+// parallel workers finish runs in any order, yet they must report
 // the byte-identical lowest-run error the serial runner aborts with.
 func TestBatchedTimingKnownViolation(t *testing.T) {
 	ctx := context.Background()
@@ -145,7 +169,7 @@ func TestBatchedTimingKnownViolation(t *testing.T) {
 // TestBatchedCampaignCancelled cancels a campaign while its runs are in
 // flight. The parallel runner must return the serial runner's
 // cancellation error — the same error chain and message, up to the
-// cycle at which the run noticed — and must not leave any lane-group
+// cycle at which the run noticed — and must not leave any worker
 // goroutine behind.
 func TestBatchedCampaignCancelled(t *testing.T) {
 	spec, err := workloads.ByName("sha256")
@@ -172,7 +196,7 @@ func TestBatchedCampaignCancelled(t *testing.T) {
 		if got, want := stripCycle(batchErr), stripCycle(serialErr); got != want {
 			t.Errorf("cancellation errors diverge:\nserial:   %v\nparallel: %v", serialErr, batchErr)
 		}
-		// A goroutine that has signalled the group's WaitGroup may take
+		// A goroutine that has signalled the campaign's WaitGroup may take
 		// a moment to exit; anything still around after that leaked.
 		deadline := time.Now().Add(2 * time.Second)
 		for runtime.NumGoroutine() > before {

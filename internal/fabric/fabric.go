@@ -139,9 +139,9 @@ type Config struct {
 	// k > 1 steps elements on k workers (bit-identical results — see
 	// shard.go and DESIGN.md "Sharded parallel stepping"); negative means
 	// one shard per available CPU (GOMAXPROCS). No CLI, service or core
-	// knob sets it: multi-core speed comes from parallel lane groups
-	// (internal/core), and this stepper is kept for callers that step
-	// one large fabric, pinned by the differential sweeps.
+	// knob sets it: multi-core speed comes from parallel campaign workers
+	// (internal/core), and this stepper is kept for callers that step one
+	// large fabric, pinned by the differential sweeps.
 	Shards int
 	// Compiled switches element stepping to closure-compiled step
 	// functions: at the top of each run, every element that implements
@@ -189,10 +189,6 @@ type Fabric struct {
 	// reset-and-rerun loop (core's verification reuse, campaign sweeps,
 	// the service) allocates nothing per run after the first.
 	rs runState
-	// stepper is the pooled incremental driver handed out by BeginRun and
-	// used internally by runEvent; like rs, one per fabric because a
-	// fabric has at most one run in flight.
-	stepper Stepper
 }
 
 // bind records a channel's endpoint elements, declared by Wire or
@@ -954,12 +950,82 @@ func (f *Fabric) commitChannels(st *runState, cur int64) {
 //     Elements stage effects only in cycles where Step returns true, so
 //     re-activating the channels of every worked element restores the
 //     invariant before the next tick phase.
-//
-// The cycle body lives in Stepper.Step (see stepper.go) so incremental
-// callers — the batched campaign runner above all — drive the identical
-// code path one cycle at a time.
 func (f *Fabric) runEvent(ctx context.Context, maxCycles int64) (Result, error) {
-	return f.beginEvent(ctx, maxCycles).Finish()
+	st := f.initRunState()
+	elems, prep := f.elems, &f.prep
+	cc := f.newCancelCheck(ctx)
+	for n := int64(0); n < maxCycles; n++ {
+		if err := cc.expired(); err != nil {
+			f.backfillSleepers(st)
+			if f.ckptFn != nil {
+				err = errors.Join(err, f.ckptFn(f.cycle))
+			}
+			return Result{Cycles: f.cycle}, fmt.Errorf("cycle %d: %w", f.cycle, err)
+		}
+		cur := f.cycle
+		mayFreeze := false
+		if f.inj != nil {
+			f.inj.BeginCycle(cur)
+			// Frozen implies an active freeze window (see FaultInjector), so
+			// the per-element Frozen call is skipped whole cycles at a time.
+			mayFreeze = f.inj.Active()
+		}
+		worked := false
+		// Indexing awake (1 byte/element) instead of ranging over the
+		// interface slice keeps the scan over mostly-sleeping fabrics in
+		// one or two cache lines.
+		for i := range st.awake {
+			if !st.awake[i] {
+				continue
+			}
+			if mayFreeze && f.inj.Frozen(elems[i]) {
+				// Frozen: skip the step but stay awake, so stepping
+				// resumes the cycle the freeze ends even if no channel
+				// changes in between. The cycle is accounted immediately
+				// (an asleep frozen element is instead covered by its
+				// wake-time backfill, exactly as under dense stepping).
+				if sk := prep.skips[i]; sk != nil {
+					sk.SkipCycles(1)
+				}
+				continue
+			}
+			stepped := false
+			if prep.steps != nil {
+				stepped = prep.steps[i](cur)
+			} else {
+				stepped = elems[i].Step(cur)
+			}
+			if stepped {
+				worked = true
+				for _, ci := range prep.elemCh[i] {
+					// A worked element's untouched channels are still
+					// quiet here (staging is the only way to unquiet a
+					// channel mid-cycle), and Tick on a quiet channel is
+					// a no-op — so only channels with staged effects
+					// need to join the tick list.
+					if !st.active[ci] && !f.chans[ci].Quiet() {
+						st.active[ci] = true
+						st.activeList = append(st.activeList, ci)
+					}
+				}
+				if snk := prep.sinkOf[i]; snk != nil && !st.sinkDone[i] && snk.Completed() {
+					st.sinkDone[i] = true
+					st.sinksLeft--
+				}
+			} else if h := prep.hints[i]; h == nil || !h.NeedsStep() {
+				st.awake[i] = false
+				st.asleepSince[i] = cur
+			}
+		}
+
+		f.commitChannels(st, cur)
+
+		if done, res, err := f.epilogue(st, worked); done {
+			return res, err
+		}
+	}
+	f.backfillSleepers(st)
+	return Result{Cycles: f.cycle}, fmt.Errorf("after %d cycles: %w", f.cycle, ErrTimeout)
 }
 
 // countIdle advances the quiescence streak for the cycle just committed

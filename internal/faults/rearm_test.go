@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"context"
 	"testing"
 
 	"tia/internal/isa"
@@ -84,5 +85,45 @@ func TestRearmRejectsShapeChanges(t *testing.T) {
 	}
 	if err := inj.Rearm(Plan{Seed: 2, DropRate: 0.5}); err != nil {
 		t.Errorf("Rearm rejected a rate-only change: %v", err)
+	}
+}
+
+// TestRearmRunAllocationFree gates the per-run body of a campaign
+// worker (internal/core batch.go): once the instance has run a
+// campaign (buffers grown, injector attached), an entire further
+// campaign — Reset, Rearm and RunContext for every run — performs zero
+// heap allocations. Instance reuse adds no per-cycle or per-run garbage.
+func TestRearmRunAllocationFree(t *testing.T) {
+	const runs, budget = 9, 10_000
+	// Jitter and flips only: every run completes. Drops would deadlock
+	// some runs, whose end-of-run diagnosis legitimately builds an error
+	// string (a fresh instance pays the same); the gate is on the step path.
+	gatePlan := func(run int) Plan {
+		return Plan{Seed: 7000 + int64(run), JitterRate: 0.4, JitterMax: 5, FlipRate: 0.1}
+	}
+	f, _ := buildLine([]isa.Word{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3}, true, 0, 4)
+	var inj *Injector
+	campaign := func() {
+		for run := 0; run < runs; run++ {
+			if inj == nil {
+				var err error
+				if inj, err = Attach(f, gatePlan(run)); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				f.Reset()
+				if err := inj.Rearm(gatePlan(run)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := f.RunContext(context.Background(), budget); err != nil {
+				t.Fatalf("run %d: %v", run, err)
+			}
+		}
+	}
+	campaign() // warm: attach the injector, grow buffers to steady state
+	avg := testing.AllocsPerRun(5, campaign)
+	if avg != 0 {
+		t.Errorf("steady-state batched campaign: %.1f allocs/run, want 0", avg)
 	}
 }

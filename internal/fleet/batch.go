@@ -51,8 +51,8 @@ type BatchRow struct {
 	Result *service.JobResult `json:"result,omitempty"`
 	Error  *service.JobError  `json:"error,omitempty"`
 	// Cached and Batched mirror the row's Result provenance (served
-	// from the worker's result cache; campaign executed on batched
-	// lanes) at the top level, so sweep consumers can account cache
+	// from the worker's result cache; campaign executed on reused
+	// instances) at the top level, so sweep consumers can account cache
 	// hits and batched execution without unpacking every payload.
 	Cached  bool `json:"cached,omitempty"`
 	Batched bool `json:"batched,omitempty"`

@@ -4,20 +4,19 @@ package gen
 // bit-identical results on all four stepping backends (dense, event,
 // sharded, closure-compiled), and interrupting any run — completing,
 // deadlocking or timing out — with a mid-run snapshot/restore into a
-// freshly parsed instance must be unobservable. FuzzSimulate drives the same harness from the fuzzer
-// (make fuzz-smoke / the nightly CI job); TestGeneratedDifferential
-// pins a deterministic seed sweep into the ordinary test suite.
+// freshly parsed instance must be unobservable, and so must Reset and
+// a rerun of the same fabric. FuzzSimulate drives the same harness from
+// the fuzzer (make fuzz-smoke / the nightly CI job);
+// TestGeneratedDifferential pins a deterministic seed sweep into the
+// ordinary test suite.
 
 import (
-	"context"
 	"reflect"
 	"strings"
 	"testing"
 
 	"tia/internal/asm"
-	"tia/internal/batchrun"
 	"tia/internal/channel"
-	"tia/internal/fabric"
 	"tia/internal/isa"
 	"tia/internal/pcpe"
 )
@@ -142,52 +141,28 @@ func differential(t *testing.T, src string) {
 	}
 }
 
-// batchedArm cross-checks the batched stepper against serial runs over
-// heterogeneous generated topologies: K consecutive seeds become K batch
-// lanes, each lane a freshly parsed netlist of its own shape, and every
-// lane's observation (cycles, completion, error, sink contents) must
-// equal a standalone serial run of the same source. Seeds whose source
-// fails to parse are skipped — parse rejection is the serial arms' job.
-func batchedArm(t *testing.T, seed int64, mutate bool) {
+// resetArm checks the instance-reuse contract campaign workers rely on
+// (internal/core batch.go) over arbitrary generated topologies: run a
+// parsed netlist, Reset its fabric, run the same fabric again — both
+// observations (cycles, completion, error, sink contents) must equal a
+// fresh run of the same source. Sources that fail to parse are skipped;
+// rejection is the differential's job.
+func resetArm(t *testing.T, src string) {
 	t.Helper()
-	const lanes = 3
-	var srcs []string
-	var want []observation
-	for i := int64(0); i < lanes; i++ {
-		src := inputFor(seed+i, mutate)
-		if _, err := asm.ParseNetlist(src, isa.DefaultConfig(), pcpe.DefaultConfig()); err != nil {
-			continue
-		}
-		srcs = append(srcs, src)
-		want = append(want, runBackend(t, src, backends[0]))
-	}
-	if len(srcs) == 0 {
+	if _, err := asm.ParseNetlist(src, isa.DefaultConfig(), pcpe.DefaultConfig()); err != nil {
 		return
 	}
-	nls := make([]*asm.Netlist, len(srcs))
-	b, err := batchrun.New(
-		batchrun.Config{Lanes: len(srcs), MaxCycles: fuzzMaxCycles},
-		func(lane int) (*fabric.Fabric, any, error) {
-			nls[lane] = parse(t, srcs[lane])
-			return nls[lane].Fabric, nil, nil
-		})
-	if err != nil {
-		t.Fatalf("batchrun.New: %v", err)
-	}
-	got := make([]observation, len(srcs))
-	err = b.Run(context.Background(), len(srcs),
-		func(l *batchrun.Lane, run int) error { return nil },
-		func(l *batchrun.Lane, run int, res fabric.Result, err error) error {
-			got[l.ID] = observe(nls[l.ID], res.Cycles, res.Completed, err)
-			return nil
-		})
-	if err != nil {
-		t.Fatalf("batch run: %v", err)
-	}
-	for i := range srcs {
-		if !reflect.DeepEqual(want[i], got[i]) {
-			t.Fatalf("batched lane diverged from serial (seed %d):\nserial:  %+v\nbatched: %+v\nnetlist:\n%s",
-				seed+int64(i), want[i], got[i], srcs[i])
+	want := runBackend(t, src, backends[0])
+	nl := parse(t, src)
+	for pass := 1; pass <= 2; pass++ {
+		if pass > 1 {
+			nl.Fabric.Reset()
+		}
+		res, err := nl.Fabric.Run(fuzzMaxCycles)
+		got := observe(nl, res.Cycles, res.Completed, err)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("reused fabric diverged from a fresh run on pass %d:\nfresh:  %+v\nreused: %+v\nnetlist:\n%s",
+				pass, want, got, src)
 		}
 	}
 }
@@ -219,6 +194,8 @@ func TestGeneratedDifferential(t *testing.T) {
 		completed++
 		differential(t, src)
 		differential(t, inputFor(seed, true))
+		resetArm(t, src)
+		resetArm(t, inputFor(seed, true))
 	}
 	if completed == 0 {
 		t.Fatal("sweep exercised no completing netlists")
@@ -257,15 +234,16 @@ func TestGeneratorCoversConstructs(t *testing.T) {
 // FuzzSimulate is the generative differential fuzzer: the fuzzer owns
 // the seed, the generator turns it into a netlist (optionally mutated
 // into hostile territory), and the harness cross-checks all four
-// backends plus snapshot/restore, then the batched stepper against
-// serial runs. Run via make fuzz-smoke or the nightly CI job.
+// backends plus snapshot/restore, then a Reset-and-rerun of one fabric
+// against a fresh run. Run via make fuzz-smoke or the nightly CI job.
 func FuzzSimulate(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add(seed, false)
 		f.Add(seed, true)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, mutate bool) {
-		differential(t, inputFor(seed, mutate))
-		batchedArm(t, seed, mutate)
+		src := inputFor(seed, mutate)
+		differential(t, src)
+		resetArm(t, src)
 	})
 }

@@ -43,7 +43,7 @@ type JobRequest struct {
 	// with unknown fields disallowed, a request that still sends either
 	// is rejected with a 400 bad_request rather than silently ignored.
 	// Multi-core speed comes from the worker pool and, within a
-	// campaign, from parallel lane groups (see Faults).
+	// campaign, from parallel campaign workers (see Faults).
 
 	// MaxCycles bounds the simulation; 0 uses the server default. The
 	// server-configured ceiling always applies.
@@ -116,9 +116,9 @@ type FaultCampaignRequest struct {
 	DropRate float64 `json:"drop_rate,omitempty"`
 	DupRate  float64 `json:"dup_rate,omitempty"`
 
-	// There is no "lanes" field: the server picks the lane width (see
-	// JobResult.Lanes), and a request that sends one gets a 400
-	// bad_request. Lane count never changes results.
+	// There is no "lanes" field: the server caps the instances a
+	// campaign runs at once (see JobResult.Lanes), and a request that
+	// sends one gets a 400 bad_request. The cap never changes results.
 }
 
 // CampaignSummary is the aggregate outcome taxonomy of a fault campaign.
@@ -182,10 +182,10 @@ type JobResult struct {
 	// Faults set.
 	Campaign *CampaignSummary `json:"campaign,omitempty"`
 
-	// Batched reports that a campaign's runs executed on batched lanes
-	// (internal/batchrun) rather than one fresh instance per run; Lanes
-	// is the lane count used. Purely provenance: batched results are
-	// bit-identical to serial.
+	// Batched reports that a campaign's runs executed on reused
+	// instances (internal/core's batched runners) rather than one fresh
+	// instance per run; Lanes is the cap on instances running at once.
+	// Purely provenance: batched results are bit-identical to serial.
 	Batched bool `json:"batched,omitempty"`
 	Lanes   int  `json:"lanes,omitempty"`
 }

@@ -16,9 +16,9 @@ const maxCampaignRuns = 256
 // defaultCampaignRuns applies when the request leaves Runs unset.
 const defaultCampaignRuns = 10
 
-// defaultCampaignLanes is the batch width campaigns execute across
-// (fewer when a campaign has fewer runs). Lane count never changes
-// results, only amortization.
+// defaultCampaignLanes caps how many reused instances a campaign runs
+// at once (fewer when it has fewer runs or the host fewer cores). The
+// cap never changes results, only memory and parallelism.
 const defaultCampaignLanes = 8
 
 // planFromRequest translates the wire form into a fault plan.
